@@ -1,187 +1,21 @@
 package tapestry
 
-// The benchmark harness regenerates every table and figure of the paper's
-// evaluation (see DESIGN.md's per-experiment index and EXPERIMENTS.md for
-// paper-vs-measured). Each BenchmarkTable*/Benchmark<Claim> emits its table
-// via b.Log on the first iteration — run with:
+// Facade and substrate micro-benchmarks:
 //
-//	go test -bench=. -benchmem -v
+//	go test -run '^$' -bench . -benchmem
 //
-// cmd/benchtables prints the same tables at paper scale.
+// The paper's tables come from cmd/benchtables (README, "Reproducing the
+// paper's tables"); the gated hot-path set behind BENCH_micro.json, OpLocate
+// included, is BenchmarkMicro in internal/microbench.
 
 import (
 	"fmt"
 	"math/rand"
 	"testing"
 
-	"tapestry/internal/expt"
 	"tapestry/internal/metric"
 	"tapestry/internal/netsim"
 )
-
-// logOnce prints the experiment table on the first iteration only.
-func logOnce(b *testing.B, i int, tab expt.Table) {
-	b.Helper()
-	if i == 0 {
-		b.Log("\n" + tab.String())
-	}
-}
-
-// --- E0: metric substrate validation -----------------------------------
-
-func BenchmarkMetricExpansion(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		logOnce(b, i, expt.MetricExpansion(1))
-	}
-}
-
-// --- E1-E4: Table 1 columns --------------------------------------------
-
-func BenchmarkTable1Hops(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		logOnce(b, i, expt.Table1Hops([]int{64, 256, 1024}, 512, 1))
-	}
-}
-
-func BenchmarkTable1Space(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		logOnce(b, i, expt.Table1Space([]int{64, 256, 1024}, 2))
-	}
-}
-
-func BenchmarkTable1InsertCost(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		logOnce(b, i, expt.Table1InsertCost([]int{64, 256}, 3))
-	}
-}
-
-func BenchmarkTable1Balance(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		logOnce(b, i, expt.Table1Balance(256, 2048, 4))
-	}
-}
-
-// --- E5-E6: stretch and surrogate overhead ------------------------------
-
-func BenchmarkStretchVsDistance(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		logOnce(b, i, expt.StretchVsDistance(256, 128, 2048, 5))
-	}
-}
-
-func BenchmarkSurrogateOverhead(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		logOnce(b, i, expt.SurrogateOverhead([]int{64, 256, 1024}, 256, 6))
-	}
-}
-
-// --- E7-E12: dynamic-membership machinery -------------------------------
-
-func BenchmarkNNCorrectness(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		logOnce(b, i, expt.NNCorrectness(96, []int{4, 8, 16, 32, 96}, 7))
-	}
-}
-
-func BenchmarkMulticast(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		logOnce(b, i, expt.Multicast(256, 8))
-	}
-}
-
-func BenchmarkAvailabilityDuringJoin(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		logOnce(b, i, expt.AvailabilityDuringJoin(48, 24, 9))
-	}
-}
-
-func BenchmarkParallelJoin(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		logOnce(b, i, expt.ParallelJoin(24, 4, 8, 10))
-	}
-}
-
-func BenchmarkDeletion(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		logOnce(b, i, expt.Deletion(96, 11))
-	}
-}
-
-func BenchmarkOptimizePointers(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		logOnce(b, i, expt.OptimizePointers(64, 16, 12))
-	}
-}
-
-// --- E13-E15: locality, general metrics, fault tolerance ----------------
-
-func BenchmarkStubLocality(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		logOnce(b, i, expt.StubLocality(13))
-	}
-}
-
-func BenchmarkGeneralMetric(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		logOnce(b, i, expt.GeneralMetric([]int{64, 128, 256}, 14))
-	}
-}
-
-func BenchmarkMultiRoot(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		logOnce(b, i, expt.MultiRoot(128, []int{1, 2, 4}, 0.15, 15))
-	}
-}
-
-func BenchmarkContinualOptimization(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		logOnce(b, i, expt.ContinualOptimization(64, 20))
-	}
-}
-
-// --- E-repair: repair quality under failures ---------------------------
-
-func BenchmarkRepairQuality(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		logOnce(b, i, expt.RepairQuality(96, 20, 128, 23))
-	}
-}
-
-// --- E-hotspot: Zipf storm vs the serving layer --------------------------
-
-func BenchmarkHotspot(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		logOnce(b, i, expt.Hotspot(128, 64, 2048, 24))
-	}
-}
-
-// --- E-faceoff: every protocol, one workload -----------------------------
-
-func BenchmarkFaceoff(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		logOnce(b, i, expt.Faceoff(64, 16, 2, 128, nil, 25))
-	}
-}
-
-// --- Ablations -----------------------------------------------------------
-
-func BenchmarkAblationSurrogate(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		logOnce(b, i, expt.AblationSurrogate(128, 16))
-	}
-}
-
-func BenchmarkAblationR(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		logOnce(b, i, expt.AblationR(128, []int{2, 3, 4}, 17))
-	}
-}
-
-func BenchmarkAblationBase(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		logOnce(b, i, expt.AblationBase(128, []int{4, 8, 16, 32}, 18))
-	}
-}
 
 // --- Micro-benchmarks: per-operation costs -------------------------------
 
@@ -239,24 +73,8 @@ func BenchmarkFreeAddr(b *testing.B) {
 	}
 }
 
-func BenchmarkOpLocate(b *testing.B) {
-	_, nodes := benchNetwork(b, 256)
-	nodes[0].Publish("bench-object")
-	b.ReportAllocs()
-	b.ResetTimer()
-	hops := 0
-	for i := 0; i < b.N; i++ {
-		res, _ := nodes[i%len(nodes)].Locate("bench-object")
-		if !res.Found {
-			b.Fatal("lost object")
-		}
-		hops += res.Hops
-	}
-	b.ReportMetric(float64(hops)/float64(b.N), "hops/op")
-}
-
-// BenchmarkOpLocateCached is BenchmarkOpLocate with the serving layer on
-// and warm: repeat queries are answered from the per-node locate cache.
+// BenchmarkOpLocateCached is BenchmarkMicro/OpLocate with the serving layer
+// on and warm: repeat queries are answered from the per-node locate cache.
 func BenchmarkOpLocateCached(b *testing.B) {
 	cfg := Defaults()
 	cfg.LocateCacheCap = 128

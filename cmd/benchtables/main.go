@@ -2,8 +2,8 @@
 // evaluation at configurable scale, fanning experiment cells across a worker
 // pool. Output is byte-identical for any -workers value: each cell draws its
 // RNG streams from a seed derived from (seed, experiment, cell index), and
-// rows merge in cell order. This is the reference generator behind
-// EXPERIMENTS.md.
+// rows merge in cell order. README's "Reproducing the paper's tables"
+// section lists every experiment and flag.
 //
 // Usage:
 //
@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"testing"
 	"time"
 
 	"tapestry"
@@ -30,7 +31,6 @@ import (
 func main() {
 	quick := flag.Bool("quick", false, "reduced sizes for a fast run")
 	run := flag.String("run", "", "run experiments matching this id/name regexp (e.g. E5, E-scale, Table1.*)")
-	only := flag.String("only", "", "deprecated alias for -run")
 	seed := flag.Int64("seed", 1, "base RNG seed; per-cell streams are derived from it")
 	workers := flag.Int("workers", 0, "experiment cells run in parallel (0 = GOMAXPROCS)")
 	format := flag.String("format", "table", "output format: table | json | csv")
@@ -66,10 +66,6 @@ func main() {
 		return
 	}
 
-	pattern := *run
-	if pattern == "" {
-		pattern = *only
-	}
 	params := expt.DefaultParams()
 	if *quick {
 		params = expt.QuickParams()
@@ -122,7 +118,7 @@ func main() {
 	}
 
 	r := expt.Runner{Seed: *seed, Workers: *workers, Params: params}
-	if err := r.RunAndEmit(os.Stdout, pattern, *format); err != nil {
+	if err := r.RunAndEmit(os.Stdout, *run, *format); err != nil {
 		fmt.Fprintln(os.Stderr, "benchtables:", err)
 		os.Exit(2)
 	}
@@ -130,13 +126,23 @@ func main() {
 
 // runMicro executes the micro-benchmark set, writes BENCH_micro.json to
 // stdout, and — when a baseline is given — exits 1 if any benchmark
-// regresses past the tolerance gate.
+// regresses past the tolerance gate. A benchmark body that fails exits 2
+// before anything is written.
 func runMicro(baselinePath string, tolerance float64, benchTime time.Duration, count int) {
-	results := microbench.Run(microbench.Benches(), microbench.Options{
-		BenchTime: benchTime,
-		Count:     count,
-		Verbose:   os.Stderr,
+	// testing.Benchmark reads its target time from the test.benchtime flag.
+	testing.Init()
+	if err := flag.Set("test.benchtime", benchTime.String()); err != nil {
+		fmt.Fprintln(os.Stderr, "benchtables: -bench-time:", err)
+		os.Exit(2)
+	}
+	results, err := microbench.Run(microbench.Benches(), microbench.Options{
+		Count:   count,
+		Verbose: os.Stderr,
 	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchtables:", err)
+		os.Exit(2)
+	}
 	if err := microbench.WriteJSON(os.Stdout, results); err != nil {
 		fmt.Fprintln(os.Stderr, "benchtables:", err)
 		os.Exit(2)

@@ -1,15 +1,11 @@
 // Command tapestry-sim stands up a Tapestry overlay on a simulated metric
 // space, runs a publish/locate workload with optional churn, and prints
 // routing statistics — a one-shot driver for exploring configurations.
+// The paper's tables come from cmd/benchtables.
 //
-// It shares the registry-driven experiment engine with benchtables: pass
-// -run to reproduce any subset of the paper's tables in parallel instead of
-// running the ad-hoc workload.
-//
-// Examples:
+// Example:
 //
 //	tapestry-sim -n 512 -space torus -objects 128 -queries 4096 -churn 32
-//	tapestry-sim -run 'E5|SurrogateOverhead' -workers 8 -format csv
 package main
 
 import (
@@ -19,10 +15,8 @@ import (
 	"math"
 	"math/rand"
 	"os"
-	"strings"
 
 	"tapestry"
-	"tapestry/internal/expt"
 )
 
 func main() {
@@ -39,16 +33,7 @@ func main() {
 	prr := flag.Bool("prr", false, "use PRR-like surrogate routing")
 	cacheCap := flag.Int("cache-cap", 0, "per-node locate-cache capacity (the serving layer; 0 = off)")
 	seed := flag.Int64("seed", 1, "RNG seed")
-	run := flag.String("run", "", "run registry experiments matching this id/name regexp instead of the ad-hoc workload")
-	quick := flag.Bool("quick", false, "with -run: reduced experiment sizes")
-	workers := flag.Int("workers", 0, "with -run: experiment cells run in parallel (0 = GOMAXPROCS)")
-	format := flag.String("format", "table", "output format: table | json | csv")
-	scalePoints := flag.Int("scale-points", 0, "with -run E-scale: metric-space points of the full churn cell; without -run: transit-stub size override (0 = auto)")
-	scaleNodes := flag.Int("scale-nodes", 0, "with -run E-scale: initial overlay population (0 = params default)")
-	planetNodes := flag.Int("planet-nodes", 0, "with -run E-planet: overlay population of the virtual-time run (0 = params default)")
-	planetObjects := flag.Int("planet-objects", 0, "with -run E-planet: published objects (0 = params default)")
-	chaosN := flag.Int("chaos-n", 0, "with -run E-chaos: overlay population of the scenario suite (0 = params default)")
-	chaosScenario := flag.String("chaos-scenario", "", "with -run E-chaos: comma-separated named scenarios to replay (empty = whole suite)")
+	scalePoints := flag.Int("scale-points", 0, "-space transitstub: metric-space size override (0 = 4 points per node)")
 	transport := flag.String("transport", "", "message transport backend: direct | loopback | tcp (default: $TAPESTRY_TRANSPORT, then direct)")
 	flag.Parse()
 
@@ -58,13 +43,6 @@ func main() {
 			os.Exit(2)
 		}
 		os.Setenv("TAPESTRY_TRANSPORT", *transport)
-	}
-
-	if *run != "" {
-		runExperiments(*run, *quick, *seed, *workers, *format,
-			*scalePoints, *scaleNodes, *planetNodes, *planetObjects,
-			*chaosN, *chaosScenario)
-		return
 	}
 
 	var space tapestry.Space
@@ -183,41 +161,6 @@ func main() {
 		found, *queries, hops/float64(found), msgs/float64(found), dist/float64(found))
 	fmt.Printf("final: %s\n", nw.Stats())
 	fmt.Printf("total network messages: %d\n", nw.TotalMessages())
-}
-
-// runExperiments reproduces paper tables through the shared registry engine.
-func runExperiments(pattern string, quick bool, seed int64, workers int, format string,
-	scalePoints, scaleNodes, planetNodes, planetObjects, chaosN int, chaosScenario string) {
-	params := expt.DefaultParams()
-	if quick {
-		params = expt.QuickParams()
-	}
-	if scalePoints > 0 {
-		params.ScalePoints = scalePoints
-	}
-	if scaleNodes > 0 {
-		params.ScaleNodes = scaleNodes
-	}
-	if planetNodes > 0 {
-		params.PlanetNodes = planetNodes
-	}
-	if planetObjects > 0 {
-		params.PlanetObjects = planetObjects
-	}
-	if chaosN > 0 {
-		params.ChaosN = chaosN
-	}
-	if chaosScenario != "" {
-		params.ChaosScenarios = strings.Split(chaosScenario, ",")
-		if err := expt.ValidateScenarios(params.ChaosScenarios); err != nil {
-			fail(err)
-		}
-	}
-	params.PlanetBuildWorkers = workers
-	r := expt.Runner{Seed: seed, Workers: workers, Params: params}
-	if err := r.RunAndEmit(os.Stdout, pattern, format); err != nil {
-		fail(err)
-	}
 }
 
 func fail(err error) {

@@ -368,23 +368,6 @@ func TestNearestRepairConcurrentChurn(t *testing.T) {
 	}
 }
 
-// BenchmarkNearestForSlot measures one §4.2 slot search on a settled mesh
-// (the repair hot path's dominant cost).
-func BenchmarkNearestForSlot(b *testing.B) {
-	m, nodes := buildMesh(b, 64, testConfig(), 36)
-	_ = m
-	// The random (node, level, digit) walk is precomputed so the timed loop
-	// holds only the search itself.
-	rng := rand.New(rand.NewSource(37))
-	picks := benchSlotPicks(nodes, rng, 1<<12)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := picks[i%len(picks)]
-		p.node.NearestForSlot(p.level, p.digit, nil)
-	}
-}
-
 type slotPick struct {
 	node  *Node
 	level int
@@ -403,8 +386,9 @@ func benchSlotPicks(nodes []*Node, rng *rand.Rand, n int) []slotPick {
 	return picks
 }
 
-// BenchmarkRepairHoleScan measures the legacy informant scan on the same
-// slots for comparison (it may mutate tables, so it operates on a clone-free
+// BenchmarkRepairHoleScan measures the legacy informant scan on the slots
+// that BenchmarkMicro/NearestForSlot (internal/microbench) searches, for
+// comparison (it may mutate tables, so it operates on a clone-free
 // best-effort basis: the slot contents converge after the first iteration).
 func BenchmarkRepairHoleScan(b *testing.B) {
 	cfg := testConfig()

@@ -195,8 +195,3 @@ func chaosDef(n, objects, queries, stampede int, scenarios, protocols []string) 
 	}
 	return d
 }
-
-// Chaos (E-chaos) — serial wrapper over chaosDef.
-func Chaos(n, objects, queries, stampede int, scenarios, protocols []string, seed int64) Table {
-	return chaosDef(n, objects, queries, stampede, scenarios, protocols).Run(seed, 1)
-}

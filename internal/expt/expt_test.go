@@ -32,7 +32,7 @@ func TestTableFormatting(t *testing.T) {
 }
 
 func TestTable1HopsShape(t *testing.T) {
-	tab := Table1Hops([]int{32, 128}, 128, 1)
+	tab := table1HopsDef([]int{32, 128}, 128).Run(1, 1)
 	if len(tab.Rows) != 2 {
 		t.Fatalf("rows: %d", len(tab.Rows))
 	}
@@ -49,7 +49,7 @@ func TestTable1HopsShape(t *testing.T) {
 }
 
 func TestTable1SpaceShape(t *testing.T) {
-	tab := Table1Space([]int{32, 128}, 2)
+	tab := table1SpaceDef([]int{32, 128}).Run(2, 1)
 	// Tapestry per-node state is far below n (it is Θ(log n)).
 	if got := cell(t, tab, 1, 1); got > 128 {
 		t.Errorf("tapestry space %g at n=128 is not logarithmic\n%s", got, tab)
@@ -62,7 +62,7 @@ func TestTable1SpaceShape(t *testing.T) {
 }
 
 func TestTable1InsertCostShape(t *testing.T) {
-	tab := Table1InsertCost([]int{32, 128}, 3)
+	tab := table1InsertCostDef([]int{32, 128}).Run(3, 1)
 	for row := 0; row < 2; row++ {
 		n := cell(t, tab, row, 0)
 		tap := cell(t, tab, row, 1)
@@ -77,7 +77,7 @@ func TestTable1InsertCostShape(t *testing.T) {
 }
 
 func TestTable1BalanceShape(t *testing.T) {
-	tab := Table1Balance(64, 256, 4)
+	tab := table1BalanceDef(64, 256).Run(4, 1)
 	if len(tab.Rows) != 3 {
 		t.Fatal("expected 3 rows")
 	}
@@ -90,7 +90,7 @@ func TestTable1BalanceShape(t *testing.T) {
 }
 
 func TestStretchVsDistanceShape(t *testing.T) {
-	tab := StretchVsDistance(96, 48, 512, 5)
+	tab := stretchVsDistanceDef(96, 48, 512).Run(5, 1)
 	if len(tab.Rows) < 5 {
 		t.Fatalf("too few populated deciles:\n%s", tab)
 	}
@@ -104,7 +104,7 @@ func TestStretchVsDistanceShape(t *testing.T) {
 }
 
 func TestSurrogateOverheadShape(t *testing.T) {
-	tab := SurrogateOverhead([]int{32, 128}, 128, 6)
+	tab := surrogateOverheadDef([]int{32, 128}, 128).Run(6, 1)
 	for row := range tab.Rows {
 		if extra := cell(t, tab, row, 3); extra > 3 {
 			t.Errorf("mean surrogate overhead %g exceeds the <2 expectation\n%s", extra, tab)
@@ -113,7 +113,7 @@ func TestSurrogateOverheadShape(t *testing.T) {
 }
 
 func TestNNCorrectnessShape(t *testing.T) {
-	tab := NNCorrectness(48, []int{2, 48}, 7)
+	tab := nnCorrectnessDef(48, []int{2, 48}).Run(7, 1)
 	// Full k must be exact; tiny k is allowed violations but the table must
 	// show improvement.
 	small := cell(t, tab, 0, 1)
@@ -130,7 +130,7 @@ func TestNNCorrectnessShape(t *testing.T) {
 }
 
 func TestMulticastShape(t *testing.T) {
-	tab := Multicast(64, 8)
+	tab := multicastDef(64).Run(8, 1)
 	// Messages per reached node stays O(1) — bound the ratio.
 	for row := range tab.Rows {
 		if ratio := cell(t, tab, row, 4); ratio > 8 {
@@ -140,14 +140,14 @@ func TestMulticastShape(t *testing.T) {
 }
 
 func TestAvailabilityDuringJoinShape(t *testing.T) {
-	tab := AvailabilityDuringJoin(24, 12, 9)
+	tab := availabilityDuringJoinDef(24, 12).Run(9, 1)
 	if fails := cell(t, tab, 0, 3); fails != 0 {
 		t.Errorf("availability failures during join: %g\n%s", fails, tab)
 	}
 }
 
 func TestParallelJoinShape(t *testing.T) {
-	tab := ParallelJoin(12, 3, 6, 10)
+	tab := parallelJoinDef(12, 3, 6).Run(10, 1)
 	for row := range tab.Rows {
 		if v := cell(t, tab, row, 2); v != 0 {
 			t.Errorf("P1 violations after parallel join wave %d: %g\n%s", row+1, v, tab)
@@ -162,7 +162,7 @@ func TestParallelJoinShape(t *testing.T) {
 }
 
 func TestDeletionShape(t *testing.T) {
-	tab := Deletion(48, 11)
+	tab := deletionDef(48).Run(11, 1)
 	if len(tab.Rows) != 4 {
 		t.Fatalf("expected 4 phases:\n%s", tab)
 	}
@@ -175,7 +175,7 @@ func TestDeletionShape(t *testing.T) {
 }
 
 func TestOptimizePointersShape(t *testing.T) {
-	tab := OptimizePointers(32, 8, 12)
+	tab := optimizePointersDef(32, 8).Run(12, 1)
 	last := tab.Rows[len(tab.Rows)-1]
 	if last[1] != "0" {
 		t.Errorf("P4 violations after optimization: %s\n%s", last[1], tab)
@@ -188,7 +188,7 @@ func TestOptimizePointersShape(t *testing.T) {
 }
 
 func TestStubLocalityShape(t *testing.T) {
-	tab := StubLocality(13)
+	tab := stubLocalityDef().Run(13, 1)
 	if len(tab.Rows) != 2 {
 		t.Fatal("expected 2 variants")
 	}
@@ -204,7 +204,7 @@ func TestStubLocalityShape(t *testing.T) {
 }
 
 func TestGeneralMetricShape(t *testing.T) {
-	tab := GeneralMetric([]int{64, 128}, 14)
+	tab := generalMetricDef([]int{64, 128}).Run(14, 1)
 	for row := range tab.Rows {
 		if got, budget := cell(t, tab, row, 3), cell(t, tab, row, 4); got > 3*budget {
 			t.Errorf("max stretch %g above 3·log³n=%g\n%s", got, budget, tab)
@@ -213,7 +213,7 @@ func TestGeneralMetricShape(t *testing.T) {
 }
 
 func TestMultiRootShape(t *testing.T) {
-	tab := MultiRoot(64, []int{1, 4}, 0.15, 15)
+	tab := multiRootDef(64, []int{1, 4}, 0.15).Run(15, 1)
 	parse := func(row int) float64 {
 		s := tab.Rows[row][3]
 		open := strings.Index(s, "(")
@@ -232,13 +232,13 @@ func TestMultiRootShape(t *testing.T) {
 }
 
 func TestAblationsRun(t *testing.T) {
-	if tab := AblationSurrogate(48, 16); len(tab.Rows) != 2 {
+	if tab := ablationSurrogateDef(48).Run(16, 1); len(tab.Rows) != 2 {
 		t.Errorf("surrogate ablation rows: %d", len(tab.Rows))
 	}
-	if tab := AblationR(48, []int{2, 4}, 17); len(tab.Rows) != 2 {
+	if tab := ablationRDef(48, []int{2, 4}).Run(17, 1); len(tab.Rows) != 2 {
 		t.Errorf("R ablation rows: %d", len(tab.Rows))
 	}
-	tab := AblationBase(48, []int{4, 16}, 18)
+	tab := ablationBaseDef(48, []int{4, 16}).Run(18, 1)
 	if len(tab.Rows) != 2 {
 		t.Fatalf("base ablation rows: %d", len(tab.Rows))
 	}
@@ -249,7 +249,7 @@ func TestAblationsRun(t *testing.T) {
 }
 
 func TestContinualOptimizationShape(t *testing.T) {
-	tab := ContinualOptimization(48, 20)
+	tab := continualOptimizationDef(48).Run(20, 1)
 	if len(tab.Rows) != 5 {
 		t.Fatalf("expected 5 stages:\n%s", tab)
 	}
@@ -278,7 +278,7 @@ func TestContinualOptimizationShape(t *testing.T) {
 }
 
 func TestMetricExpansionShape(t *testing.T) {
-	tab := MetricExpansion(19)
+	tab := metricExpansionDef().Run(19, 1)
 	if len(tab.Rows) != 5 {
 		t.Fatalf("expected 5 spaces:\n%s", tab)
 	}

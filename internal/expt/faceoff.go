@@ -246,9 +246,3 @@ func faceoffDef(n, objects, epochs, queries int, protocols []string) Def {
 	}
 	return d
 }
-
-// Faceoff (E-faceoff) — serial wrapper over faceoffDef. protocols nil means
-// every registered protocol.
-func Faceoff(n, objects, epochs, queries int, protocols []string, seed int64) Table {
-	return faceoffDef(n, objects, epochs, queries, protocols).Run(seed, 1)
-}

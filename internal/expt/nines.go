@@ -233,8 +233,3 @@ func ninesDef(n, objects, epochs, queries int) Def {
 	}})
 	return d
 }
-
-// Nines (E-nines) — serial wrapper over ninesDef.
-func Nines(n, objects, epochs, queries int, seed int64) Table {
-	return ninesDef(n, objects, epochs, queries).Run(seed, 1)
-}

@@ -58,11 +58,6 @@ func planetDef(nodes, objects, epochs, queries, buildWorkers int) Def {
 	return d
 }
 
-// Planet (E-planet) — serial wrapper over planetDef.
-func Planet(nodes, objects, epochs, queries int, seed int64) Table {
-	return planetDef(nodes, objects, epochs, queries, 0).Run(seed, 1)
-}
-
 func runPlanetCell(seed int64, t *Table, baseNodes, objects, epochs, queries, buildWorkers int) {
 	// Substrate: a uniform cloud sized with headroom for churn arrivals.
 	// Distances are O(1), so no n×n matrix and no row cache to tune.

@@ -170,7 +170,7 @@ func QuickParams() Params {
 }
 
 // Experiment is one registered evaluation: a stable ID (the E/A numbering
-// used throughout EXPERIMENTS.md), a name (keyed into per-cell seed
+// used throughout README), a name (keyed into per-cell seed
 // derivation, so renaming an experiment deliberately reshuffles its
 // streams), and a definition builder binding Params to concrete cells.
 type Experiment struct {

@@ -214,8 +214,3 @@ func repairQualityDef(n, kills, queries int) Def {
 	}})
 	return d
 }
-
-// RepairQuality (E-repair) — serial wrapper over repairQualityDef.
-func RepairQuality(n, kills, queries int, seed int64) Table {
-	return repairQualityDef(n, kills, queries).Run(seed, 1)
-}

@@ -53,11 +53,6 @@ func scaleChurnDef(points, nodes, epochs, queries int) Def {
 	return d
 }
 
-// ScaleChurn (E-scale) — serial wrapper over scaleChurnDef.
-func ScaleChurn(points, nodes, epochs, queries int, seed int64) Table {
-	return scaleChurnDef(points, nodes, epochs, queries).Run(seed, 1)
-}
-
 func runScaleCell(seed int64, t *Table, points, baseNodes, epochs, queries int) {
 	rng := subRNG(seed, "topology")
 	space := metric.NewTransitStub(metric.ScaledTransitStub(points), rng)

@@ -9,10 +9,9 @@
 // The registry (Experiments, Match) lets CLIs select experiment subsets by
 // ID or name regexp; emit.go renders results as text, JSON or CSV.
 //
-// The exported one-call-per-experiment functions (Table1Hops, Multicast, …)
-// remain as serial wrappers over the same definitions, so benchmarks
-// (bench_test.go), the CLIs and EXPERIMENTS.md all share exactly one
-// implementation of every paper-facing number.
+// cmd/benchtables is the one front end; README's "Reproducing the paper's
+// tables" section lists the experiments and their flags. Tests run a single
+// definition serially with xDef(...).Run(seed, 1).
 package expt
 
 import (

@@ -65,11 +65,6 @@ func table1HopsDef(sizes []int, queries int) Def {
 	return d
 }
 
-// Table1Hops (E1) — serial wrapper over table1HopsDef.
-func Table1Hops(sizes []int, queries int, seed int64) Table {
-	return table1HopsDef(sizes, queries).Run(seed, 1)
-}
-
 // publishTapestry publishes every object of the placement on all its
 // servers and returns the GUIDs.
 func publishTapestry(env tapEnv, place workload.Placement) []ids.ID {
@@ -120,11 +115,6 @@ func table1SpaceDef(sizes []int) Def {
 	return d
 }
 
-// Table1Space (E2) — serial wrapper over table1SpaceDef.
-func Table1Space(sizes []int, seed int64) Table {
-	return table1SpaceDef(sizes).Run(seed, 1)
-}
-
 // table1InsertCostDef (E3) regenerates the "Insert Cost" column: messages
 // per node insertion, measured over the second half of a growth run (so the
 // network is at representative size). Expected shape: Θ(log² n) for Tapestry
@@ -165,11 +155,6 @@ func table1InsertCostDef(sizes []int) Def {
 	return d
 }
 
-// Table1InsertCost (E3) — serial wrapper over table1InsertCostDef.
-func Table1InsertCost(sizes []int, seed int64) Table {
-	return table1InsertCostDef(sizes).Run(seed, 1)
-}
-
 // table1BalanceDef (E4) regenerates the "Balanced?" column: the skew of
 // directory load. For Tapestry we report the max/mean ratio of object
 // pointers and of root assignments across nodes; for the central directory
@@ -202,11 +187,6 @@ func table1BalanceDef(n, objects int) Def {
 		t.AddRow("central directory", "directory entries", float64(n), "no (single point)")
 	}})
 	return d
-}
-
-// Table1Balance (E4) — serial wrapper over table1BalanceDef.
-func Table1Balance(n, objects int, seed int64) Table {
-	return table1BalanceDef(n, objects).Run(seed, 1)
 }
 
 func verdict(skew float64) string {

@@ -3,6 +3,7 @@ package microbench
 import (
 	"fmt"
 	"math/rand"
+	"testing"
 
 	"tapestry"
 	"tapestry/internal/core"
@@ -68,31 +69,9 @@ func Benches() []Benchmark {
 }
 
 // OpLocate: the facade-level end-to-end locate on a settled 256-node
-// network, round-robin over clients (mirrors bench_test.go's
-// BenchmarkOpLocate).
-func setupOpLocate() func(b *B) {
-	nw, err := tapestry.New(tapestry.RingSpace(256*4), tapestry.Defaults())
-	if err != nil {
-		panic(err)
-	}
-	nodes, err := nw.Grow(256)
-	if err != nil {
-		panic(err)
-	}
-	if _, err := nodes[0].Publish("bench-object"); err != nil {
-		panic(err)
-	}
-	return func(b *B) {
-		hops := 0
-		for i := 0; i < b.N; i++ {
-			res, _ := nodes[i%len(nodes)].Locate("bench-object")
-			if !res.Found {
-				panic("lost object")
-			}
-			hops += res.Hops
-		}
-		b.ReportMetric(float64(hops)/float64(b.N), "hops/op")
-	}
+// network, round-robin over clients.
+func setupOpLocate() func(b *testing.B) {
+	return setupFacadeLocate(tapestry.Defaults())
 }
 
 // OpLocateMultiRoot: the same end-to-end locate with the availability tier
@@ -100,10 +79,14 @@ func setupOpLocate() func(b *B) {
 // pseudo-random root draw plus the occasional extra probe, which must stay a
 // small constant over OpLocate on a healthy mesh (every root path is intact,
 // so almost every query succeeds on its first probe).
-func setupOpLocateMultiRoot() func(b *B) {
+func setupOpLocateMultiRoot() func(b *testing.B) {
 	cfg := tapestry.Defaults()
 	cfg.Roots = 4
 	cfg.Replicas = 3
+	return setupFacadeLocate(cfg)
+}
+
+func setupFacadeLocate(cfg tapestry.Config) func(b *testing.B) {
 	nw, err := tapestry.New(tapestry.RingSpace(256*4), cfg)
 	if err != nil {
 		panic(err)
@@ -115,12 +98,12 @@ func setupOpLocateMultiRoot() func(b *B) {
 	if _, err := nodes[0].Publish("bench-object"); err != nil {
 		panic(err)
 	}
-	return func(b *B) {
+	return func(b *testing.B) {
 		hops := 0
 		for i := 0; i < b.N; i++ {
 			res, _ := nodes[i%len(nodes)].Locate("bench-object")
 			if !res.Found {
-				panic("lost object")
+				b.Fatal("lost object")
 			}
 			hops += res.Hops
 		}
@@ -129,10 +112,9 @@ func setupOpLocateMultiRoot() func(b *B) {
 }
 
 // NearestForSlot: one §4.2 slot search on a settled 64-node mesh, the
-// repair hot path's dominant cost (mirrors BenchmarkNearestForSlot; the
-// random (node, level, digit) sequence is precomputed so only the search is
-// timed).
-func setupNearestForSlot() func(b *B) {
+// repair hot path's dominant cost (the random (node, level, digit) sequence
+// is precomputed so only the search is timed).
+func setupNearestForSlot() func(b *testing.B) {
 	_, nodes := buildCoreMesh(64, benchCoreConfig(), 36)
 	rng := rand.New(rand.NewSource(37))
 	const seqLen = 1 << 12
@@ -149,7 +131,7 @@ func setupNearestForSlot() func(b *B) {
 			digit: ids.Digit(rng.Intn(benchSpec.Base)),
 		}
 	}
-	return func(b *B) {
+	return func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			p := seq[i%seqLen]
 			p.node.NearestForSlot(p.level, p.digit, nil)
@@ -159,7 +141,7 @@ func setupNearestForSlot() func(b *B) {
 
 // NextHop: the single local routing decision every hop of every walk makes,
 // over precomputed random keys on a settled 128-node mesh.
-func setupNextHop() func(b *B) {
+func setupNextHop() func(b *testing.B) {
 	_, nodes := buildCoreMesh(128, benchCoreConfig(), 44)
 	rng := rand.New(rand.NewSource(45))
 	const seqLen = 1 << 12
@@ -167,7 +149,7 @@ func setupNextHop() func(b *B) {
 	for i := range keys {
 		keys[i] = benchSpec.Random(rng)
 	}
-	return func(b *B) {
+	return func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			nodes[i%len(nodes)].NextHopDecision(keys[i%seqLen], 0)
 		}
@@ -177,7 +159,7 @@ func setupNextHop() func(b *B) {
 // SweepDeadEpoch: one mesh-wide coalesced heartbeat on a settled 128-node
 // mesh. The msgs/epoch metric equals one round trip per distinct neighbor —
 // the scaling the batching exists to deliver.
-func setupSweepDeadEpoch() func(b *B) {
+func setupSweepDeadEpoch() func(b *testing.B) {
 	m, nodes := buildCoreMesh(128, benchCoreConfig(), 52)
 	distinct := map[ids.ID]struct{}{}
 	for _, n := range nodes {
@@ -185,7 +167,7 @@ func setupSweepDeadEpoch() func(b *B) {
 			distinct[e.ID] = struct{}{}
 		})
 	}
-	return func(b *B) {
+	return func(b *testing.B) {
 		var cost netsim.Cost
 		for i := 0; i < b.N; i++ {
 			m.SweepDeadAll(&cost)
@@ -199,7 +181,7 @@ func setupSweepDeadEpoch() func(b *B) {
 // over a settled 128-node mesh (one caravan per serving node). msgs/epoch
 // scales with distinct next hops; records/epoch is the objects×roots count
 // the unbatched walk would pay per-hop for.
-func setupRepublishAllEpoch() func(b *B) {
+func setupRepublishAllEpoch() func(b *testing.B) {
 	m, nodes := buildCoreMesh(128, benchCoreConfig(), 60)
 	rng := rand.New(rand.NewSource(61))
 	records := 0
@@ -211,7 +193,7 @@ func setupRepublishAllEpoch() func(b *B) {
 		records++
 	}
 	servers := m.Nodes()
-	return func(b *B) {
+	return func(b *testing.B) {
 		var cost netsim.Cost
 		for i := 0; i < b.N; i++ {
 			for _, n := range servers {
@@ -249,9 +231,9 @@ func benchWireMsgs() []wire.Msg {
 
 // WireEncode: steady-state framing of the routine message mix into a reused
 // buffer — the per-hop encode cost of the loopback and TCP transports.
-func setupWireEncode() func(b *B) {
+func setupWireEncode() func(b *testing.B) {
 	msgs := benchWireMsgs()
-	return func(b *B) {
+	return func(b *testing.B) {
 		var buf []byte
 		total := 0
 		for i := 0; i < b.N; i++ {
@@ -264,7 +246,7 @@ func setupWireEncode() func(b *B) {
 
 // WireDecode: the zero-allocation DecodeFrameInto path over pre-encoded
 // frames with recycled message structs — the per-hop decode cost.
-func setupWireDecode() func(b *B) {
+func setupWireDecode() func(b *testing.B) {
 	msgs := benchWireMsgs()
 	frames := make([][]byte, len(msgs))
 	recycled := make([]wire.Msg, len(msgs))
@@ -272,11 +254,11 @@ func setupWireDecode() func(b *B) {
 		frames[i] = wire.AppendFrame(nil, m)
 		recycled[i] = wire.New(m.WireType())
 	}
-	return func(b *B) {
+	return func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			j := i % len(frames)
 			if _, err := wire.DecodeFrameInto(frames[j], recycled[j]); err != nil {
-				panic(err)
+				b.Fatal(err)
 			}
 		}
 	}
@@ -285,7 +267,7 @@ func setupWireDecode() func(b *B) {
 // LoopbackLocate: the core end-to-end locate with every message round-tripped
 // through the codec — OpLocate's counterpart measuring the full serialization
 // tax on a settled 64-node mesh.
-func setupLoopbackLocate() func(b *B) {
+func setupLoopbackLocate() func(b *testing.B) {
 	cfg := benchCoreConfig()
 	cfg.Transport = core.TransportLoopback
 	_, nodes := buildCoreMesh(64, cfg, 68)
@@ -293,13 +275,13 @@ func setupLoopbackLocate() func(b *B) {
 	if err := nodes[0].Publish(g, nil); err != nil {
 		panic(err)
 	}
-	return func(b *B) {
+	return func(b *testing.B) {
 		hops := 0
 		for i := 0; i < b.N; i++ {
 			var cost netsim.Cost
 			res := nodes[i%len(nodes)].Locate(g, &cost)
 			if !res.Found {
-				panic("lost object")
+				b.Fatal("lost object")
 			}
 			hops += res.Hops
 		}

@@ -1,51 +1,32 @@
-// Package microbench is a small self-contained benchmark harness behind
-// `benchtables -bench-json`: it runs the hot-path micro-benchmark set
-// (locate, slot search, next-hop decision, maintenance epochs) outside `go
-// test` so the perf trajectory can be emitted as JSON, committed as
-// BENCH_micro.json, and gated by CI against regressions.
+// Package microbench is the hot-path micro-benchmark set behind `benchtables
+// -bench-json` (locate, slot search, next-hop decision, maintenance epochs,
+// wire codec): the perf trajectory is emitted as JSON, committed as
+// BENCH_micro.json, and gated by CI against regressions. BenchmarkMicro runs
+// the same set under `go test -bench`.
 //
-// The harness mirrors testing.B's contract where it matters: each benchmark
-// body runs b.N iterations, setup happens before the timer starts, and the
-// reported ns/op is the minimum over `count` repetitions (the least-noise
-// estimator for a gate). Allocation counts come from runtime.MemStats
-// deltas around the timed loop; with a single benchmarking goroutine they
-// are exact, which is what makes "any allocs/op increase fails CI"
-// enforceable.
+// Timing is testing.Benchmark's: each body runs b.N iterations against a
+// fixture built before the timer starts, and the reported ns/op is the
+// minimum over Options.Count repetitions (the least-noise estimator for a
+// gate). The target time per repetition is the test.benchtime flag, which a
+// CLI registers with testing.Init and sets with flag.Set. Allocation counts
+// are testing.B's; with a single benchmarking goroutine they are exact,
+// which is what makes "any allocs/op increase fails CI" enforceable.
 package microbench
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
-	"time"
+	"testing"
 )
-
-// B is the per-run handle a benchmark body receives. The body must execute
-// its operation exactly N times.
-type B struct {
-	// N is the iteration count for this timed run.
-	N int
-
-	metrics map[string]float64
-}
-
-// ReportMetric records a custom per-op metric (e.g. "msgs/epoch") alongside
-// the timing columns. Later reports of the same name overwrite.
-func (b *B) ReportMetric(perOp float64, name string) {
-	if b.metrics == nil {
-		b.metrics = map[string]float64{}
-	}
-	b.metrics[name] = perOp
-}
 
 // Benchmark is one named entry of the micro set. Setup builds the fixture
 // (untimed) and returns the body to be timed; the body is re-invoked with
 // growing b.N, so it must be repeatable against the same fixture.
 type Benchmark struct {
 	Name  string
-	Setup func() func(b *B)
+	Setup func() func(b *testing.B)
 }
 
 // Result is one benchmark's measurement, serialized into BENCH_micro.json.
@@ -60,86 +41,45 @@ type Result struct {
 
 // Options configure a harness run.
 type Options struct {
-	BenchTime time.Duration // target wall time per repetition (default 200ms)
-	Count     int           // repetitions; min ns/op wins (default 3)
-	Verbose   io.Writer     // per-benchmark progress lines, nil for quiet
+	Count   int       // repetitions; min ns/op wins (default 3)
+	Verbose io.Writer // per-benchmark progress lines, nil for quiet
 }
 
-func (o Options) withDefaults() Options {
-	if o.BenchTime <= 0 {
-		o.BenchTime = 200 * time.Millisecond
+// Run executes every benchmark and returns results in definition order. A
+// body that fails (b.Fatal, b.Skip) measures zero iterations; Run reports it
+// as an error instead of emitting an empty row.
+func Run(benches []Benchmark, opts Options) ([]Result, error) {
+	if opts.Count <= 0 {
+		opts.Count = 3
 	}
-	if o.Count <= 0 {
-		o.Count = 3
-	}
-	return o
-}
-
-// Run executes every benchmark and returns results in definition order.
-func Run(benches []Benchmark, opts Options) []Result {
-	opts = opts.withDefaults()
 	results := make([]Result, 0, len(benches))
 	for _, bm := range benches {
-		r := runOne(bm, opts)
+		body := bm.Setup()
+		var res Result
+		for rep := 0; rep < opts.Count; rep++ {
+			r := testing.Benchmark(body)
+			if r.N == 0 {
+				return nil, fmt.Errorf("microbench: %s failed: no iterations measured", bm.Name)
+			}
+			n := float64(r.N)
+			if ns := float64(r.T.Nanoseconds()) / n; rep == 0 || ns < res.NsPerOp {
+				res = Result{
+					Name:        bm.Name,
+					NsPerOp:     ns,
+					AllocsPerOp: float64(r.MemAllocs) / n,
+					BytesPerOp:  float64(r.MemBytes) / n,
+					Iterations:  r.N,
+					Metrics:     r.Extra,
+				}
+			}
+		}
 		if opts.Verbose != nil {
 			fmt.Fprintf(opts.Verbose, "%-24s %12.0f ns/op %8.0f allocs/op %10.0f B/op\n",
-				r.Name, r.NsPerOp, r.AllocsPerOp, r.BytesPerOp)
+				res.Name, res.NsPerOp, res.AllocsPerOp, res.BytesPerOp)
 		}
-		results = append(results, r)
+		results = append(results, res)
 	}
-	return results
-}
-
-func runOne(bm Benchmark, opts Options) Result {
-	body := bm.Setup()
-	res := Result{Name: bm.Name}
-	best := -1.0
-	for rep := 0; rep < opts.Count; rep++ {
-		n := 1
-		for {
-			ns, allocs, bytes, metrics := measure(body, n)
-			elapsed := ns * float64(n)
-			if elapsed >= float64(opts.BenchTime.Nanoseconds()) || n >= 1<<24 {
-				if best < 0 || ns < best {
-					best = ns
-					res.NsPerOp = ns
-					res.AllocsPerOp = allocs
-					res.BytesPerOp = bytes
-					res.Iterations = n
-					res.Metrics = metrics
-				}
-				break
-			}
-			// Grow toward the target the way testing.B does: predict from
-			// the observed rate, bounded to at most 100x per step.
-			next := int(1.2 * float64(opts.BenchTime.Nanoseconds()) / ns)
-			if next > 100*n {
-				next = 100 * n
-			}
-			if next <= n {
-				next = n + 1
-			}
-			n = next
-		}
-	}
-	return res
-}
-
-// measure times one run of body with the given N and returns per-op
-// nanoseconds, mallocs, and bytes.
-func measure(body func(b *B), n int) (ns, allocs, bytes float64, metrics map[string]float64) {
-	b := &B{N: n}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	body(b)
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&after)
-	fn := float64(n)
-	ns = float64(elapsed.Nanoseconds()) / fn
-	allocs = float64(after.Mallocs-before.Mallocs) / fn
-	bytes = float64(after.TotalAlloc-before.TotalAlloc) / fn
-	return ns, allocs, bytes, b.metrics
+	return results, nil
 }
 
 // WriteJSON emits results as indented JSON (the BENCH_micro.json format:
