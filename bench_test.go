@@ -201,8 +201,9 @@ func BenchmarkNetAlive(b *testing.B) {
 }
 
 // BenchmarkSpaceDistance measures Space.Distance across representations:
-// lattice (ring), point cloud, graph metric as a materialised matrix, and
-// the same graph size as an on-demand space (cache-hot after one pass).
+// lattice (ring), point cloud, a random graph as a materialised matrix and,
+// at 4096 points, as an on-demand space (cache-hot after one pass), and the
+// closed-form transit-stub space at the same size.
 func BenchmarkSpaceDistance(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	spaces := map[string]metric.Space{

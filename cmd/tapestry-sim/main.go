@@ -58,8 +58,8 @@ func main() {
 		space = tapestry.RandomGraphSpace(2**n, 3, *seed)
 	case "transitstub":
 		// Size the substrate to the overlay unless explicitly overridden;
-		// above metric.DenseLimit points the space is computed on demand, so
-		// tens of thousands of points stay cheap.
+		// the transit-stub metric is held in closed form, so tens of thousands
+		// of points stay cheap.
 		points := 4 * *n
 		if *scalePoints > 0 {
 			points = *scalePoints

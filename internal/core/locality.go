@@ -15,9 +15,8 @@ import (
 // first and resume wide-area routing only on a local miss.
 //
 // The stub oracle is the metric's region labelling (metric.Regions; the
-// transit-stub generator populates it for both the matrix and the on-demand
-// representation); in deployments the paper suggests approximating it with a
-// latency threshold.
+// transit-stub generator populates it at every size); in deployments the
+// paper suggests approximating it with a latency threshold.
 
 // regionOf returns the locality region of an address, or -1 when the metric
 // has no region structure (transit routers also report -1: they belong to

@@ -134,7 +134,7 @@ func QuickParams() Params {
 		StretchN:  128,
 		BalanceN:  128,
 
-		ScalePoints:  2600, // above metric.DenseLimit: the on-demand path stays exercised
+		ScalePoints:  2600,
 		ScaleNodes:   96,
 		ScaleEpochs:  3,
 		ScaleQueries: 128,

@@ -14,13 +14,13 @@ import (
 )
 
 // scaleChurnDef (E-scale) is the substrate-scale churn scenario: a
-// transit-stub network of tens of thousands of points — representable only
-// because graph metrics above metric.DenseLimit are computed on demand
-// instead of materialising an n×n matrix — hosting an overlay that is grown
-// statically, then driven through epochs of Poisson join/leave/crash churn
-// with a Zipf query mix measured after each epoch. Per epoch it reports the
-// live population, the churn applied, and availability / mean hops / mean
-// stretch over the query mix.
+// transit-stub network of tens of thousands of points — representable
+// because the transit-stub metric is held in closed form instead of as an
+// n×n matrix — hosting an overlay that is grown statically, then driven
+// through epochs of Poisson join/leave/crash churn with a Zipf query mix
+// measured after each epoch. Per epoch it reports the live population, the
+// churn applied, and availability / mean hops / mean stretch over the query
+// mix.
 //
 // Two cells (quarter scale and full scale) so the runner's shared pool has
 // something to overlap; each cell is fully deterministic: churn and repair
@@ -73,12 +73,6 @@ func runScaleCell(seed int64, t *Table, points, baseNodes, epochs, queries int) 
 		baseNodes = 8
 	}
 	rng.Shuffle(len(hosts), func(i, j int) { hosts[i], hosts[j] = hosts[j], hosts[i] })
-
-	// Size the on-demand row cache to the overlay working set: every live
-	// node is a message source, churn adds more over time.
-	if gs, ok := space.(*metric.GraphSpace); ok {
-		gs.SetRowCacheCap(baseNodes + baseNodes/2 + 64)
-	}
 
 	net := netsim.New(space)
 	cfg := defaultTapConfig()

@@ -26,11 +26,17 @@ func (g *graph) addEdge(a, b int, w float64) {
 	g.adj[b] = append(g.adj[b], edge{a, w})
 }
 
-// apsp runs Dijkstra from every source and materialises the metric. It
-// panics if the graph is disconnected, since a partial metric would silently
-// corrupt experiments.
+// apsp runs Dijkstra from every source and materialises the metric.
 func (g *graph) apsp(name string) *Dense {
 	d := newDense(g.n, name)
+	g.allPairs(name, d.d)
+	return d
+}
+
+// allPairs runs Dijkstra from every source and stores the distances,
+// rounded to float32, row-major into d (len g.n²). It panics if the graph is
+// disconnected, since a partial metric would silently corrupt experiments.
+func (g *graph) allPairs(name string, d []float32) {
 	dist := make([]float64, g.n)
 	for src := 0; src < g.n; src++ {
 		g.dijkstra(src, dist)
@@ -38,10 +44,22 @@ func (g *graph) apsp(name string) *Dense {
 			if math.IsInf(dist[j], 1) {
 				panic(fmt.Sprintf("metric: %s is disconnected (no path %d->%d)", name, src, j))
 			}
-			d.d[src*g.n+j] = float32(dist[j])
+			d[src*g.n+j] = float32(dist[j])
 		}
 	}
-	return d
+}
+
+// subgraph returns the subgraph induced on points [lo, hi), renumbered from 0.
+func (g *graph) subgraph(lo, hi int) *graph {
+	sub := newGraph(hi - lo)
+	for a := lo; a < hi; a++ {
+		for _, e := range g.adj[a] {
+			if e.to >= lo && e.to < hi {
+				sub.adj[a-lo] = append(sub.adj[a-lo], edge{e.to - lo, e.w})
+			}
+		}
+	}
+	return sub
 }
 
 func (g *graph) dijkstra(src int, dist []float64) {
@@ -95,7 +113,7 @@ func NewRandomGraph(n, extraDegree int, maxW float64, rng *rand.Rand) Space {
 	if n <= DenseLimit {
 		return g.apsp(name)
 	}
-	return newGraphSpace(g, name, nil)
+	return newGraphSpace(g, name)
 }
 
 // buildRandomGraph constructs the adjacency list behind NewRandomGraph; the
@@ -180,14 +198,13 @@ func ScaledTransitStub(points int) TransitStubParams {
 	return p
 }
 
-// NewTransitStub builds the shortest-path metric of a transit-stub topology.
-// The space has Region populated (see Regions): transit routers get region
-// -1, and every stub host is labelled with its stub domain index, enabling
-// the Section 6.3 locality experiments ("never leave the stub").
-//
-// Up to DenseLimit points the result is a materialised *Dense matrix; above
-// it, an on-demand *GraphSpace (identical distances, O(n)-scale memory).
-func NewTransitStub(p TransitStubParams, rng *rand.Rand) Space {
+// buildTransitStubGraph lays out the transit-stub topology behind
+// NewTransitStub: transit routers occupy points [0, T), followed by the
+// stubs as contiguous StubSize blocks in router order. It returns the graph
+// and the region labels (-1 for transit routers, the stub index for stub
+// hosts). Changing the RNG draws or their order here changes every
+// transit-stub experiment's topology.
+func buildTransitStubGraph(p TransitStubParams, rng *rand.Rand) (*graph, []int) {
 	if p.TransitDomains < 1 || p.TransitPerDom < 1 || p.StubsPerTransit < 0 || p.StubSize < 1 {
 		panic("metric: invalid transit-stub parameters")
 	}
@@ -242,13 +259,7 @@ func NewTransitStub(p TransitStubParams, rng *rand.Rand) Space {
 		}
 	}
 
-	name := fmt.Sprintf("transitstub(n=%d)", n)
-	if n <= DenseLimit {
-		d := g.apsp(name)
-		d.Region = region
-		return d
-	}
-	return newGraphSpace(g, name, region)
+	return g, region
 }
 
 // NewUniformCloud places n points uniformly at random on the unit 2-torus.

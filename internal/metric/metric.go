@@ -124,19 +124,14 @@ func torusDelta(d float64) float64 {
 	return d
 }
 
-// Dense is an explicit distance matrix, the representation used for graph
-// metrics (random graphs, transit-stub) up to DenseLimit points; larger
-// graph metrics use the on-demand GraphSpace. Distances are stored as
-// float32 to halve memory; the overlay's decisions are ordinal so the
-// rounding is immaterial.
+// Dense is an explicit distance matrix, the representation used for random
+// graph metrics up to DenseLimit points; larger ones use the on-demand
+// GraphSpace. Distances are stored as float32 to halve memory; the overlay's
+// decisions are ordinal so the rounding is immaterial.
 type Dense struct {
 	n    int
 	d    []float32
 	name string
-	// Region optionally labels each point with a locality region (e.g. the
-	// stub domain in a transit-stub topology). Empty if the space has no
-	// region structure.
-	Region []int
 }
 
 func newDense(n int, name string) *Dense {
@@ -146,14 +141,11 @@ func newDense(n int, name string) *Dense {
 func (g *Dense) Size() int    { return g.n }
 func (g *Dense) Name() string { return g.name }
 
-// Regions returns the locality labels (see the package-level Regions).
-func (g *Dense) Regions() []int { return g.Region }
-
 // Regions returns the per-point locality labels of a space (the stub-domain
 // labelling of a transit-stub topology; -1 marks wide-area transit routers),
-// or nil when the space has no region structure. It works across
-// representations — materialised matrices and on-demand graph spaces alike —
-// so callers never depend on a concrete metric type.
+// or nil when the space has no region structure. It works on any space with
+// a Regions method, including wrappers that forward one, so callers never
+// depend on a concrete metric type.
 func Regions(s Space) []int {
 	if r, ok := s.(interface{ Regions() []int }); ok {
 		return r.Regions()

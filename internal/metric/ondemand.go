@@ -7,12 +7,13 @@ import (
 	"sync"
 )
 
-// DenseLimit is the largest point count for which graph-derived metrics
-// (NewRandomGraph, NewTransitStub) eagerly materialise the full n×n distance
-// matrix. Below it the matrix costs at most ~16 MB and beats repeated
-// shortest-path work; above it the constructors return an on-demand
-// *GraphSpace instead, whose memory is O(n + edges + cached rows) — a 65k
-// point matrix would need 17 GB, the on-demand form a few hundred MB.
+// DenseLimit is the largest point count for which NewRandomGraph eagerly
+// materialises the full n×n distance matrix. Below it the matrix costs at
+// most ~16 MB and beats repeated shortest-path work; above it NewRandomGraph
+// returns an on-demand *GraphSpace instead, whose memory is
+// O(n + edges + cached rows) — a 65k point matrix would need 17 GB, the
+// on-demand form a few hundred MB. Transit-stub metrics never use either:
+// NewTransitStub is closed-form at every size.
 const DenseLimit = 2048
 
 // GraphSpace is a shortest-path metric computed on demand from an adjacency
@@ -28,9 +29,6 @@ const DenseLimit = 2048
 type GraphSpace struct {
 	g    *graph
 	name string
-	// Region labels each point with a locality region (stub domain), exactly
-	// like Dense.Region. Nil if the space has no region structure.
-	Region []int
 
 	mu      sync.Mutex
 	capRows int
@@ -53,11 +51,10 @@ type rowEntry struct {
 // rowCacheBudget bounds the default row cache at ~256 MB of float32 rows.
 const rowCacheBudget = 256 << 20
 
-func newGraphSpace(g *graph, name string, region []int) *GraphSpace {
+func newGraphSpace(g *graph, name string) *GraphSpace {
 	return &GraphSpace{
 		g:       g,
 		name:    name,
-		Region:  region,
 		capRows: defaultRowCap(g.n),
 		rows:    make(map[int]*rowEntry),
 		lru:     list.New(),
@@ -78,30 +75,6 @@ func defaultRowCap(n int) int {
 
 func (s *GraphSpace) Size() int    { return s.g.n }
 func (s *GraphSpace) Name() string { return s.name }
-
-// Regions returns the locality labels (see Regions).
-func (s *GraphSpace) Regions() []int { return s.Region }
-
-// RowCacheCap returns the current bound on cached source rows.
-func (s *GraphSpace) RowCacheCap() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.capRows
-}
-
-// SetRowCacheCap rebounds the source-row LRU (minimum 1), evicting the
-// least recently used rows if the cache is over the new cap. Callers that
-// know their working set (e.g. the set of live overlay addresses) can size
-// the cache to it and avoid thrashing.
-func (s *GraphSpace) SetRowCacheCap(rows int) {
-	if rows < 1 {
-		rows = 1
-	}
-	s.mu.Lock()
-	s.capRows = rows
-	s.evictOverCapLocked()
-	s.mu.Unlock()
-}
 
 // CacheStats reports row-cache activity since construction.
 func (s *GraphSpace) CacheStats() (hits, misses, evictions int64) {

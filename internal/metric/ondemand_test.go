@@ -15,7 +15,7 @@ func lazyAndDense(t *testing.T, n int, seed int64) (*GraphSpace, *Dense) {
 	t.Helper()
 	g1 := buildRandomGraph(n, 3, 10, rand.New(rand.NewSource(seed)))
 	g2 := buildRandomGraph(n, 3, 10, rand.New(rand.NewSource(seed)))
-	return newGraphSpace(g1, "lazy", nil), g2.apsp("dense")
+	return newGraphSpace(g1, "lazy"), g2.apsp("dense")
 }
 
 func TestGraphSpaceMatchesDenseOracle(t *testing.T) {
@@ -34,7 +34,7 @@ func TestGraphSpaceMatchesDenseOracle(t *testing.T) {
 // recomputation; recomputed rows must still match the Dense oracle.
 func TestGraphSpaceEvictionCorrectness(t *testing.T) {
 	lazy, dense := lazyAndDense(t, 90, 23)
-	lazy.SetRowCacheCap(3)
+	lazy.capRows = 3
 	rng := rand.New(rand.NewSource(1))
 	for q := 0; q < 4000; q++ {
 		i, j := rng.Intn(90), rng.Intn(90)
@@ -56,7 +56,7 @@ func TestGraphSpaceEvictionCorrectness(t *testing.T) {
 // returned distance against the oracle. Run under -race in CI.
 func TestGraphSpaceConcurrentReaders(t *testing.T) {
 	lazy, dense := lazyAndDense(t, 80, 31)
-	lazy.SetRowCacheCap(4)
+	lazy.capRows = 4
 	var wg sync.WaitGroup
 	errs := make(chan string, 16)
 	for w := 0; w < 16; w++ {
@@ -83,10 +83,9 @@ func TestGraphSpaceConcurrentReaders(t *testing.T) {
 	}
 }
 
-// TestGraphConstructorsPickRepresentation pins the DenseLimit policy and the
-// identity of distances across it: the same topology seed must give the same
-// metric whether it lands just below or above the limit is irrelevant to
-// callers, who only see Space.
+// TestGraphConstructorsPickRepresentation pins the DenseLimit policy for
+// random graphs, and that transit-stub spaces on either side of it are
+// closed-form with their region labels intact.
 func TestGraphConstructorsPickRepresentation(t *testing.T) {
 	small := NewRandomGraph(64, 2, 8, rand.New(rand.NewSource(3)))
 	if _, ok := small.(*Dense); !ok {
@@ -96,17 +95,24 @@ func TestGraphConstructorsPickRepresentation(t *testing.T) {
 	if _, ok := big.(*GraphSpace); !ok {
 		t.Errorf("n=%d should stay on-demand, got %T", DenseLimit+1, big)
 	}
-	// Region labels survive the representation switch.
-	ts := NewTransitStub(ScaledTransitStub(3*DenseLimit), rand.New(rand.NewSource(4)))
-	gs, ok := ts.(*GraphSpace)
-	if !ok {
-		t.Fatalf("large transit-stub should be on-demand, got %T", ts)
-	}
-	if len(Regions(ts)) != ts.Size() {
-		t.Error("on-demand transit-stub lost its region labels")
-	}
-	if gs.RowCacheCap() < 64 {
-		t.Errorf("default row cache cap %d too small", gs.RowCacheCap())
+	// NewTransitStub returns the closed-form *TransitStub at every size: far
+	// below the n² floats of a matrix, with buildTransitStubGraph's labels.
+	for _, points := range []int{DenseLimit / 2, 3 * DenseLimit} {
+		p := ScaledTransitStub(points)
+		ts := NewTransitStub(p, rand.New(rand.NewSource(4)))
+		if floats := len(ts.backbone) + len(ts.intra) + len(ts.up); floats > ts.Size()*ts.Size()/8 {
+			t.Errorf("%s holds %d floats, too close to a %d² matrix", ts.Name(), floats, ts.Size())
+		}
+		_, want := buildTransitStubGraph(p, rand.New(rand.NewSource(4)))
+		got := Regions(ts)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d region labels, want %d", ts.Name(), len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: point %d labelled %d, want %d", ts.Name(), i, got[i], want[i])
+			}
+		}
 	}
 }
 
@@ -136,7 +142,7 @@ func TestGraphSpaceDisconnectedPanics(t *testing.T) {
 	g := newGraph(4)
 	g.addEdge(0, 1, 1)
 	g.addEdge(2, 3, 1)
-	s := newGraphSpace(g, "split", nil)
+	s := newGraphSpace(g, "split")
 	mustPanic := func() (panicked bool) {
 		defer func() { panicked = recover() != nil }()
 		_ = s.Distance(0, 3)

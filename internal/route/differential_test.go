@@ -3,6 +3,7 @@ package route
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -316,6 +317,109 @@ func TestDifferentialAgainstLegacyLayout(t *testing.T) {
 				t.Fatalf("seed %d op %d: tables diverged:\ngot:\n%s\nwant:\n%s", seed, op, got, want)
 			}
 		}
+	}
+}
+
+// addInsertThenEvict is Table.Add as it was before the full-slot early
+// rejection: every new entry is inserted, then the capacity bound evicts the
+// farthest unpinned entries again, possibly the newcomer itself. It is the
+// oracle for TestAddEarlyRejectMatchesInsertThenEvict.
+func (t *Table) addInsertThenEvict(level int, e Entry) (added bool, evicted []Entry) {
+	if !t.qualifies(level, e.ID) {
+		return false, nil
+	}
+	s := t.slot(level, e.ID.Digit(level))
+	for i := int(t.off[s]); i < int(t.off[s+1]); i++ {
+		if t.ents[i].ID.Equal(e.ID) {
+			pinned := t.ents[i].Pinned || e.Pinned
+			if pinned && !t.ents[i].Pinned {
+				t.pinned++
+			}
+			e.Pinned = pinned
+			t.removeIdx(s, i)
+			t.insertSorted(s, e)
+			return true, nil
+		}
+	}
+	if e.Pinned {
+		t.pinned++
+	}
+	t.insertSorted(s, e)
+	unpinned := 0
+	for i := int(t.off[s]); i < int(t.off[s+1]); i++ {
+		if !t.ents[i].Pinned {
+			unpinned++
+		}
+	}
+	if unpinned > t.r && !e.Pinned {
+		last := t.lastUnpinnedIdx(s)
+		if t.ents[last].ID.Equal(e.ID) {
+			t.removeIdx(s, last)
+			return false, nil
+		}
+	}
+	for unpinned > t.r {
+		last := t.lastUnpinnedIdx(s)
+		evicted = append(evicted, t.ents[last])
+		t.removeIdx(s, last)
+		unpinned--
+	}
+	return true, evicted
+}
+
+// TestAddEarlyRejectMatchesInsertThenEvict drives Add and the insert-then-
+// evict oracle through identical random op streams — pinned and unpinned
+// offers, re-adds with new distances, Removes, and runs of offers in
+// ascending distance as static builds make them — and demands identical
+// return values and identical tables after every op.
+func TestAddEarlyRejectMatchesInsertThenEvict(t *testing.T) {
+	rejected := 0
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		owner := spec.Random(rng)
+		r := 1 + int(seed)%3
+		tbl := New(spec, owner, 7, r)
+		ora := New(spec, owner, 7, r)
+		universe := make([]ids.ID, 40)
+		for i := range universe {
+			universe[i] = spec.Random(rng)
+		}
+		rising := 0.0
+		for op := 0; op < 4000; op++ {
+			id := universe[rng.Intn(len(universe))]
+			level := ids.CommonPrefixLen(owner, id)
+			if level == spec.Digits {
+				continue
+			}
+			level = rng.Intn(level + 1)
+			switch rng.Intn(8) {
+			case 0: // Remove
+				if got, want := tbl.Remove(id), ora.Remove(id); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("seed %d op %d: Remove levels: got %v want %v", seed, op, got, want)
+				}
+				continue
+			case 1, 2: // offer in ascending distance, as BuildStaticWith does
+				rising += float64(rng.Intn(3)) / 2
+			default: // random distance, often tying
+				rising = float64(rng.Intn(20)) / 2
+			}
+			e := Entry{ID: id, Addr: netsim.Addr(rng.Intn(100)), Distance: rising, Pinned: rng.Intn(6) == 0}
+			ga, ge := tbl.Add(level, e)
+			wa, we := ora.addInsertThenEvict(level, e)
+			if ga != wa || !slices.Equal(ge, we) {
+				t.Fatalf("seed %d op %d: Add mismatch: got (%v,%s) want (%v,%s)",
+					seed, op, ga, renderSlice(ge), wa, renderSlice(we))
+			}
+			if !ga && !e.Pinned {
+				rejected++
+			}
+			if !slices.Equal(tbl.ents, ora.ents) || !slices.Equal(tbl.off, ora.off) || tbl.pinned != ora.pinned {
+				t.Fatalf("seed %d op %d: tables diverged:\ngot:\n%s\nwant:\n%s", seed, op, renderTable(tbl), renderTable(ora))
+			}
+		}
+	}
+	if rejected == 0 {
+		t.Fatal("no offer hit a full slot; the stream does not exercise the early rejection")
 	}
 }
 

@@ -193,7 +193,9 @@ func (t *Table) Add(level int, e Entry) (added bool, evicted []Entry) {
 	s := t.slot(level, e.ID.Digit(level))
 
 	// Update in place if already present (re-rank, since the distance may
-	// have changed; a pin is sticky).
+	// have changed; a pin is sticky). The same scan counts the unpinned
+	// entries and finds the farthest of them.
+	unpinned, last := 0, -1
 	for i := int(t.off[s]); i < int(t.off[s+1]); i++ {
 		if t.ents[i].ID.Equal(e.ID) {
 			pinned := t.ents[i].Pinned || e.Pinned
@@ -205,28 +207,27 @@ func (t *Table) Add(level int, e Entry) (added bool, evicted []Entry) {
 			t.insertSorted(s, e)
 			return true, nil
 		}
+		if !t.ents[i].Pinned {
+			unpinned++
+			last = i
+		}
 	}
 
 	if e.Pinned {
 		t.pinned++
+	} else {
+		// A full set rejects a newcomer that would rank after its farthest
+		// unpinned entry before touching storage: it would be evicted at
+		// once. Static builds offer peers nearest first, so this is the
+		// common case once a slot fills.
+		if unpinned >= t.r && entryLess(t.ents[last], e) {
+			return false, nil
+		}
+		unpinned++
 	}
 	t.insertSorted(s, e)
 
 	// Enforce capacity over unpinned entries only.
-	unpinned := 0
-	for i := int(t.off[s]); i < int(t.off[s+1]); i++ {
-		if !t.ents[i].Pinned {
-			unpinned++
-		}
-	}
-	if unpinned > t.r && !e.Pinned {
-		// If e itself is the farthest unpinned entry it simply does not fit.
-		last := t.lastUnpinnedIdx(s)
-		if t.ents[last].ID.Equal(e.ID) {
-			t.removeIdx(s, last)
-			return false, nil
-		}
-	}
 	for unpinned > t.r {
 		last := t.lastUnpinnedIdx(s)
 		evicted = append(evicted, t.ents[last])

@@ -65,10 +65,10 @@ func TransitStubSpace(seed int64) Space {
 }
 
 // ScaledTransitStubSpace returns a transit-stub space with at least the
-// given number of points. Above metric.DenseLimit points the space is backed
-// by the on-demand shortest-path representation (adjacency lists plus a
-// bounded per-source row cache) instead of an n×n matrix, so substrates of
-// 50k–100k points fit in hundreds of MB rather than tens of GB.
+// given number of points. The space holds its shortest paths in closed form
+// (a router-to-router backbone matrix, one distance block per stub and each
+// point's distance to its router) instead of an n×n matrix, so substrates of
+// 50k–100k points fit in about 8–15 MB rather than tens of GB.
 func ScaledTransitStubSpace(points int, seed int64) Space {
 	return metric.NewTransitStub(metric.ScaledTransitStub(points), rand.New(rand.NewSource(seed)))
 }
