@@ -9,11 +9,10 @@ import (
 	"tapestry/internal/route"
 )
 
-// sortedLevels returns the level keys of a per-level entry map (AllBacks,
-// snapshotTable) in ascending order. These are maps; iterating them directly
-// would make notification and repair order — and therefore eviction
-// tie-breaks and message costs at every peer — nondeterministic
-// map-iteration order.
+// sortedLevels returns the level keys of snapshotTable's per-level entry map
+// in ascending order. Iterating the map directly would make probe and repair
+// order — and therefore eviction tie-breaks and message costs at every peer —
+// nondeterministic map-iteration order.
 func sortedLevels(byLevel map[int][]route.Entry) []int {
 	levels := make([]int, 0, len(byLevel))
 	for l := range byLevel {
@@ -63,10 +62,13 @@ func (n *Node) Leave(cost *netsim.Cost) error {
 	// holder-side work runs in the LeaveNotify dispatch handler
 	// (onPeerLeaving); dead holders are skipped, as before.
 	f := n.mesh.getFrames()
-	for _, level := range sortedLevels(backs) {
+	for level, holders := range backs {
+		if len(holders) == 0 {
+			continue
+		}
 		f.leave.Leaver, f.leave.Level = n.id, level
 		f.leave.Replacements = n.replacementsAt(level)
-		for _, h := range backs[level] {
+		for _, h := range holders {
 			_, _ = n.mesh.oneWayMsg(n.addr, h, &f.leave, cost)
 		}
 	}
@@ -116,8 +118,8 @@ func (n *Node) Leave(cost *netsim.Cost) error {
 
 	seen := map[ids.ID]struct{}{}
 	f.deleted.ID = n.id
-	for _, level := range sortedLevels(backs) {
-		for _, h := range backs[level] {
+	for _, holders := range backs {
+		for _, h := range holders {
 			if _, ok := seen[h.ID]; ok {
 				continue
 			}

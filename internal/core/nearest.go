@@ -182,14 +182,11 @@ func (s *nnSearch) matchers(p ids.Prefix, m int) []route.Entry {
 }
 
 // appendSeedBand collects every contact of t qualifying at levels >= level —
-// forward rows as one contiguous RangeView copy, backpointers level by
-// level — into dst. Self entries ride along; add() drops them.
+// forward rows and backpointers, one contiguous copy each — into dst. Self
+// entries ride along; add() drops them.
 func appendSeedBand(dst []route.Entry, t *route.Table, level int) []route.Entry {
 	dst = append(dst, t.RangeView(level, t.Levels())...)
-	for l := level; l < t.Levels(); l++ {
-		dst = t.AppendBacks(dst, l)
-	}
-	return dst
+	return t.AppendBacks(dst, level, t.Levels())
 }
 
 // queryPeer contacts a candidate and folds its forward rows and backpointers

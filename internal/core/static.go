@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"tapestry/internal/ids"
@@ -40,7 +41,7 @@ func BuildStatic(net *netsim.Network, cfg Config, parts []Participant) (*Mesh, e
 // order, so the R-bounded sets never depend on arrival interleaving), owners
 // are partitioned across workers in contiguous index shards that only write
 // their own tables, and the backpointer registrations each fill produces are
-// applied in a second pass in owner order.
+// bulk-loaded afterwards (see applyBackIntents).
 func BuildStaticWith(net *netsim.Network, cfg Config, parts []Participant, workers int) (*Mesh, error) {
 	m, nodes, err := registerStatic(net, cfg, parts)
 	if err != nil {
@@ -52,36 +53,38 @@ func BuildStaticWith(net *netsim.Network, cfg Config, parts []Participant, worke
 	// greedily: a node qualifies for (level, digit) slots derived from its
 	// common prefix with the owner.
 	type distPeer struct {
-		n *Node
-		d float64
+		idx int32 // into nodes
+		d   float64
 	}
 	intents := make([][]backIntent, len(nodes))
 	parallelFor(len(nodes), workers, func(i int) {
 		owner := nodes[i]
 		peers := make([]distPeer, 0, len(nodes)-1)
-		for _, p := range nodes {
-			if p != owner {
-				peers = append(peers, distPeer{p, net.Distance(owner.addr, p.addr)})
+		for j, p := range nodes {
+			if j != i {
+				peers = append(peers, distPeer{int32(j), net.Distance(owner.addr, p.addr)})
 			}
 		}
-		sort.Slice(peers, func(i, j int) bool {
-			if peers[i].d != peers[j].d {
-				return peers[i].d < peers[j].d
+		slices.SortFunc(peers, func(a, b distPeer) int {
+			if a.d != b.d {
+				return cmp.Compare(a.d, b.d)
 			}
-			return peers[i].n.id.Less(peers[j].n.id)
+			return nodes[a.idx].id.Compare(nodes[b.idx].id)
 		})
 		for _, pr := range peers {
-			cpl := ids.CommonPrefixLen(owner.id, pr.n.id)
+			p := nodes[pr.idx]
+			cpl := ids.CommonPrefixLen(owner.id, p.id)
 			for l := 0; l <= cpl && l < spec.Digits; l++ {
-				e := route.Entry{ID: pr.n.id, Addr: pr.n.addr, Distance: pr.d}
+				e := route.Entry{ID: p.id, Addr: p.addr, Distance: pr.d}
 				added, _ := owner.table.Add(l, e)
 				if added {
-					intents[i] = append(intents[i], backIntent{peer: pr.n, level: l, d: pr.d})
+					intents[i] = append(intents[i], backIntent{peer: pr.idx, level: int32(l), d: pr.d})
 				}
 			}
 		}
+		owner.table.Compact()
 	})
-	applyBackIntents(nodes, intents)
+	applyBackIntents(nodes, intents, spec.Digits, workers)
 	return m, nil
 }
 
@@ -172,43 +175,80 @@ func BuildStaticSampled(net *netsim.Network, cfg Config, parts []Participant, sa
 				if len(cands) == 0 {
 					continue
 				}
-				sort.Slice(cands, func(a, b int) bool {
-					if cands[a].d != cands[b].d {
-						return cands[a].d < cands[b].d
+				slices.SortFunc(cands, func(a, b cand) int {
+					if a.d != b.d {
+						return cmp.Compare(a.d, b.d)
 					}
-					return nodes[cands[a].idx].id.Less(nodes[cands[b].idx].id)
+					return nodes[a.idx].id.Compare(nodes[b.idx].id)
 				})
 				for _, c := range cands {
 					p := nodes[c.idx]
 					added, _ := owner.table.Add(l, route.Entry{ID: p.id, Addr: p.addr, Distance: c.d})
 					if added {
-						intents[i] = append(intents[i], backIntent{peer: p, level: l, d: c.d})
+						intents[i] = append(intents[i], backIntent{peer: c.idx, level: int32(l), d: c.d})
 					}
 				}
 			}
 			prefix = append(prefix, byte(owner.id.Digit(l)))
 		}
+		owner.table.Compact()
 	})
-	applyBackIntents(nodes, intents)
+	applyBackIntents(nodes, intents, spec.Digits, workers)
 	return m, nil
 }
 
-// backIntent is one deferred backpointer registration: during the parallel
-// fill phase owners only write their own tables; the cross-owner AddBack
-// writes are applied afterwards, in owner order, single-threaded.
+// backIntent is one deferred backpointer registration: owner i's fill added
+// nodes[peer] to its level-`level` set at distance d, so nodes[peer] gets a
+// level-`level` backpointer to owner i. During the parallel fill phase owners
+// only write their own tables; the cross-owner writes wait for
+// applyBackIntents.
 type backIntent struct {
-	peer  *Node
-	level int
+	peer  int32
+	level int32
 	d     float64
 }
 
-func applyBackIntents(nodes []*Node, intents [][]backIntent) {
+// applyBackIntents bulk-loads every node's backpointers at exact size: it
+// counts the backpointers per (peer, level), makes one allocation per peer
+// table, fills it in owner order, then sorts each level's range by ID and
+// hands it to route.Table.LoadBacks. IDs are unique, so the sorted result —
+// and the mesh — does not depend on the workers count.
+func applyBackIntents(nodes []*Node, intents [][]backIntent, levels, workers int) {
+	// offs[p*stride+l] is level l's start in nodes[p]'s backpointer block:
+	// the per-level counts land one slot up, then a prefix sum turns them
+	// into offsets. cursor starts as a copy and advances during the fill.
+	stride := levels + 1
+	offs := make([]int32, len(nodes)*stride)
+	for _, list := range intents {
+		for _, bi := range list {
+			offs[int(bi.peer)*stride+int(bi.level)+1]++
+		}
+	}
+	backs := make([][]route.Entry, len(nodes))
+	for p := range nodes {
+		off := offs[p*stride : (p+1)*stride]
+		for l := 0; l < levels; l++ {
+			off[l+1] += off[l]
+		}
+		backs[p] = make([]route.Entry, off[levels])
+	}
+	cursor := make([]int32, len(offs))
+	copy(cursor, offs)
 	for i, list := range intents {
 		owner := nodes[i]
 		for _, bi := range list {
-			bi.peer.table.AddBack(bi.level, route.Entry{ID: owner.id, Addr: owner.addr, Distance: bi.d})
+			c := &cursor[int(bi.peer)*stride+int(bi.level)]
+			backs[bi.peer][*c] = route.Entry{ID: owner.id, Addr: owner.addr, Distance: bi.d}
+			*c++
 		}
 	}
+	parallelFor(len(nodes), workers, func(p int) {
+		off := offs[p*stride : (p+1)*stride]
+		for l := 0; l < levels; l++ {
+			slices.SortFunc(backs[p][off[l]:off[l+1]], func(a, b route.Entry) int { return a.ID.Compare(b.ID) })
+		}
+		nodes[p].table.LoadBacks(backs[p], off)
+	})
 }
 
 // registerStatic validates the participant set and registers one active node

@@ -1,12 +1,16 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"tapestry/internal/ids"
 	"tapestry/internal/metric"
 	"tapestry/internal/netsim"
+	"tapestry/internal/route"
 )
 
 func buildStaticMesh(t testing.TB, n int, cfg Config, seed int64) *Mesh {
@@ -194,5 +198,96 @@ func TestBuildStaticSampledInvariantAndProperty1(t *testing.T) {
 		if res := c.Locate(guid, nil); !res.Found {
 			t.Fatalf("locate failed from %v on sampled mesh", c.id)
 		}
+	}
+}
+
+// renderBacks renders every node's backpointers, band-folded in (level, ID)
+// order with distances, in node order.
+func renderBacks(m *Mesh) string {
+	var b strings.Builder
+	for _, n := range m.Nodes() {
+		fmt.Fprintf(&b, "node %v\n", n.id)
+		for _, e := range n.table.AppendBacks(nil, 0, n.table.Levels()) {
+			fmt.Fprintf(&b, "  %v@%d %.9g\n", e.ID, e.Addr, e.Distance)
+		}
+	}
+	return b.String()
+}
+
+// checkBackpointersExact demands that forward links and backpointers mirror
+// each other exactly: a non-self e in u's level-l forward set means u is in
+// e's level-l backpointers at the same distance, and every backpointer is
+// such a link.
+func checkBackpointersExact(t *testing.T, m *Mesh) {
+	t.Helper()
+	links := 0
+	for _, u := range m.Nodes() {
+		for l := 0; l < u.table.Levels(); l++ {
+			for _, e := range u.table.RangeView(l, l+1) {
+				if e.ID.Equal(u.id) {
+					continue
+				}
+				links++
+				v := m.NodeAt(e.Addr)
+				vb := v.table.Backs(l)
+				i := slices.IndexFunc(vb, func(b route.Entry) bool { return b.ID.Equal(u.id) })
+				if i < 0 {
+					t.Fatalf("%v links to %v at level %d, but %v has no backpointer to it", u.id, v.id, l, v.id)
+				}
+				if d := vb[i].Distance; d != e.Distance {
+					t.Fatalf("backpointer %v<-%v at level %d: distance %v, forward link %v", v.id, u.id, l, d, e.Distance)
+				}
+			}
+		}
+	}
+	backs := 0
+	for _, v := range m.Nodes() {
+		for l := 0; l < v.table.Levels(); l++ {
+			for _, b := range v.table.Backs(l) {
+				backs++
+				if u := m.NodeAt(b.Addr); u == nil || !u.id.Equal(b.ID) || !u.table.Contains(l, v.id) {
+					t.Fatalf("%v holds a level-%d backpointer to %v without the forward link", v.id, l, b.ID)
+				}
+			}
+		}
+	}
+	if links != backs {
+		t.Fatalf("%d forward links but %d backpointers", links, backs)
+	}
+}
+
+// TestStaticBackpointersExact pins the "backpointers are exact" contract of
+// both static builders at one and at eight workers, and that the two worker
+// counts load identical backpointer blocks. At 128 nodes and base 16 the
+// level-0 buckets hold about 8 IDs, so a sample of 6 takes the sampled
+// builder's seeded-draw path.
+func TestStaticBackpointersExact(t *testing.T) {
+	builders := []struct {
+		name  string
+		build func(*netsim.Network, []Participant, int) (*Mesh, error)
+	}{
+		{"BuildStaticWith", func(net *netsim.Network, parts []Participant, w int) (*Mesh, error) {
+			return BuildStaticWith(net, testConfig(), parts, w)
+		}},
+		{"BuildStaticSampled", func(net *netsim.Network, parts []Participant, w int) (*Mesh, error) {
+			return BuildStaticSampled(net, testConfig(), parts, 6, w)
+		}},
+	}
+	for _, bld := range builders {
+		t.Run(bld.name, func(t *testing.T) {
+			var renders []string
+			for _, workers := range []int{1, 8} {
+				net, parts := staticParts(128, 53)
+				m, err := bld.build(net, parts, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkBackpointersExact(t, m)
+				renders = append(renders, renderBacks(m))
+			}
+			if renders[0] != renders[1] {
+				t.Fatal("backpointers differ between workers 1 and 8")
+			}
+		})
 	}
 }

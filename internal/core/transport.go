@@ -244,12 +244,10 @@ func (target *Node) dispatch(req, resp wire.Msg, cost *netsim.Cost) {
 			top = q.Fold
 		}
 		if q.Floor < top {
-			// The whole [floor, top) row band is one contiguous copy under
-			// the SoA layout; backpointer maps fold per level.
+			// The [floor, top) row band and its backpointers are each one
+			// contiguous copy under the CSR layout.
 			r.Entries = append(r.Entries, target.table.RangeView(q.Floor, top)...)
-			for l := q.Floor; l < top; l++ {
-				r.Entries = target.table.AppendBacks(r.Entries, l)
-			}
+			r.Entries = target.table.AppendBacks(r.Entries, q.Floor, top)
 		}
 		target.mu.Unlock()
 	case *wire.ShareReq:

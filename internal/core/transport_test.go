@@ -9,6 +9,7 @@ import (
 	"tapestry/internal/metric"
 	"tapestry/internal/netsim"
 	"tapestry/internal/route"
+	"tapestry/internal/wire"
 )
 
 // buildMeshTransport is buildMesh with an explicit transport backend.
@@ -180,5 +181,30 @@ func TestParseTransport(t *testing.T) {
 	}
 	if _, err := ParseTransport("carrier-pigeon"); err == nil {
 		t.Error("ParseTransport accepted an unknown backend")
+	}
+}
+
+// TestTableBandFoldDoesNotAllocate pins the §4.2 band query on the direct
+// transport: with a pre-sized response, the forward-row and backpointer
+// folds are two contiguous copies and allocate nothing.
+func TestTableBandFoldDoesNotAllocate(t *testing.T) {
+	m, nodes := buildMeshTransport(t, 48, 71, TransportDirect)
+	from, target := nodes[0], nodes[1]
+	to := route.Entry{ID: target.id, Addr: target.addr}
+	req := &wire.TableBandReq{Floor: 0, Fold: -1}
+	resp := &wire.TableBandResp{}
+	if _, err := m.invoke(from.addr, to, req, resp, nil, false); err != nil {
+		t.Fatal(err)
+	}
+	if target.table.BackCount(0) == 0 {
+		t.Fatal("target has no level-0 backpointers to fold")
+	}
+	resp.Entries = make([]route.Entry, 0, 2*len(resp.Entries))
+	if a := testing.AllocsPerRun(100, func() {
+		if _, err := m.invoke(from.addr, to, req, resp, nil, false); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Errorf("TableBandReq on the direct transport: %v allocs/op, want 0", a)
 	}
 }

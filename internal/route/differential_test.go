@@ -484,7 +484,7 @@ func TestSetViewConcurrentReaders(t *testing.T) {
 }
 
 // TestAppendBacksSortedByID pins the deterministic-iteration helper: IDs
-// ascend, content matches the Backs map, dst is extended in place.
+// ascend, content matches Backs, dst is extended in place.
 func TestAppendBacksSortedByID(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	owner := spec.Random(rng)
@@ -495,7 +495,7 @@ func TestAppendBacksSortedByID(t *testing.T) {
 	}
 	dst := make([]Entry, 0, 32)
 	dst = append(dst, Entry{ID: owner}) // pre-existing prefix must survive
-	dst = tbl.AppendBacks(dst, 1)
+	dst = tbl.AppendBacks(dst, 1, 2)
 	if !dst[0].ID.Equal(owner) {
 		t.Fatal("AppendBacks clobbered the dst prefix")
 	}

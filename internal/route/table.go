@@ -16,6 +16,13 @@
 // entries while level×base is large (112 slots at the planetary spec), so a
 // fixed R-capacity slab would waste ~10× the memory this layout touches.
 //
+// Backpointers use the same layout with one range per level: a second
+// []Entry block ordered by (level, ID) with offsets boff[level]..boff[level+1].
+// Membership tests binary-search a level's range, and the §4.2 band fold
+// (every backpointer at levels [lo, hi), level ascending, ID ascending) is
+// one contiguous copy. A backpointer costs one 40-byte Entry and no map
+// overhead, which is most of a large mesh's routing state.
+//
 // A Table is not internally synchronized: the owning node serializes access
 // under its own lock, which is how per-node state is guarded everywhere in
 // this codebase.
@@ -23,6 +30,7 @@ package route
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"tapestry/internal/ids"
@@ -54,10 +62,11 @@ type Table struct {
 	// off[s]..off[s+1] brackets slot s within ents; len(off) == slots+1.
 	off []int32
 
-	// back[level] holds backpointers: nodes that have the owner in their
-	// level-`level` neighbor sets, keyed by comparable ID (no String()
-	// round-trips on maintenance paths).
-	back []map[ids.ID]Entry
+	// backs holds backpointers — nodes that have the owner in their
+	// level-`level` neighbor sets — level by level, each level sorted by ID.
+	backs []Entry
+	// boff[l]..boff[l+1] brackets level l within backs; len(boff) == Digits+1.
+	boff []int32
 
 	// pinned counts pinned entry instances across all sets, kept in sync by
 	// Add/Pin/Unpin/Remove so PinnedCount is O(1).
@@ -81,10 +90,7 @@ func New(spec ids.Spec, owner ids.ID, addr netsim.Addr, r int) *Table {
 		slots: spec.Digits * spec.Base,
 		ents:  make([]Entry, 0, spec.Digits*(r+1)),
 		off:   make([]int32, spec.Digits*spec.Base+1),
-		back:  make([]map[ids.ID]Entry, spec.Digits),
-	}
-	for l := 0; l < spec.Digits; l++ {
-		t.back[l] = make(map[ids.ID]Entry)
+		boff:  make([]int32, spec.Digits+1),
 	}
 	// Self entries occupy ascending slot indices (one per level), so the CSR
 	// block can be built in a single forward pass.
@@ -241,8 +247,9 @@ func sortEntries(set []Entry) {
 	sort.Slice(set, func(i, j int) bool { return entryLess(set[i], set[j]) })
 }
 
-// Remove deletes the identified neighbor from every set and backpointer map
-// it appears in, returning the levels at which a forward link was removed.
+// Remove deletes the identified neighbor from every set and every level of
+// backpointers it appears in, returning the levels at which a forward link
+// was removed.
 func (t *Table) Remove(id ids.ID) (levels []int) {
 	for l := 0; l < t.spec.Digits; l++ {
 		s := t.slot(l, id.Digit(l))
@@ -256,7 +263,7 @@ func (t *Table) Remove(id ids.ID) (levels []int) {
 				break
 			}
 		}
-		delete(t.back[l], id)
+		t.RemoveBack(l, id)
 	}
 	return levels
 }
@@ -475,50 +482,98 @@ func (t *Table) DistinctNeighbors() []Entry {
 	return out
 }
 
+// Compact releases the spare capacity of the forward block. Static builders
+// call it once a table's fill is complete; a later Add grows the block again.
+func (t *Table) Compact() {
+	if cap(t.ents) > len(t.ents) {
+		t.ents = append(make([]Entry, 0, len(t.ents)), t.ents...)
+	}
+}
+
+// findBack binary-searches level's backpointer range for id, returning the
+// index in backs where it is or would be inserted, and whether it is present.
+func (t *Table) findBack(level int, id ids.ID) (int, bool) {
+	lo, hi := int(t.boff[level]), int(t.boff[level+1])
+	i, found := slices.BinarySearchFunc(t.backs[lo:hi], id, func(e Entry, id ids.ID) int {
+		return e.ID.Compare(id)
+	})
+	return lo + i, found
+}
+
 // AddBack records that `e` holds the owner in its level-`level` neighbor
-// sets.
-func (t *Table) AddBack(level int, e Entry) { t.back[level][e.ID] = e }
+// sets. Re-adding a present ID updates its entry in place.
+func (t *Table) AddBack(level int, e Entry) {
+	i, found := t.findBack(level, e.ID)
+	if found {
+		t.backs[i] = e
+		return
+	}
+	t.backs = slices.Insert(t.backs, i, e)
+	for l := level + 1; l < len(t.boff); l++ {
+		t.boff[l]++
+	}
+}
 
 // RemoveBack removes a backpointer.
-func (t *Table) RemoveBack(level int, id ids.ID) { delete(t.back[level], id) }
+func (t *Table) RemoveBack(level int, id ids.ID) {
+	i, found := t.findBack(level, id)
+	if !found {
+		return
+	}
+	t.backs = slices.Delete(t.backs, i, i+1)
+	for l := level + 1; l < len(t.boff); l++ {
+		t.boff[l]--
+	}
+}
+
+// LoadBacks replaces every backpointer with backs, which the table takes
+// ownership of (boff is copied): boff[l]..boff[l+1] must bracket level l,
+// and each level's range must be strictly ascending by ID — the layout
+// AddBack maintains. It panics otherwise. This is the bulk path for static
+// builders, which know every backpointer up front and size backs exactly.
+func (t *Table) LoadBacks(backs []Entry, boff []int32) {
+	if len(boff) != t.spec.Digits+1 || boff[0] != 0 || int(boff[t.spec.Digits]) != len(backs) {
+		panic("route: LoadBacks offsets do not bracket the backpointers")
+	}
+	for l := 0; l < t.spec.Digits; l++ {
+		if boff[l] > boff[l+1] {
+			panic("route: LoadBacks offsets must not decrease")
+		}
+		for i := boff[l] + 1; i < boff[l+1]; i++ {
+			if !backs[i-1].ID.Less(backs[i].ID) {
+				panic(fmt.Sprintf("route: LoadBacks level %d is not strictly ascending by ID", l))
+			}
+		}
+	}
+	t.backs = backs
+	copy(t.boff, boff)
+}
 
 // BackCount returns the number of backpointers at a level.
-func (t *Table) BackCount(level int) int { return len(t.back[level]) }
+func (t *Table) BackCount(level int) int { return int(t.boff[level+1] - t.boff[level]) }
 
-// Backs returns the backpointers at a level, sorted by distance for
-// determinism.
+// Backs returns a copy of the backpointers at a level, sorted by (distance,
+// ID).
 func (t *Table) Backs(level int) []Entry {
-	out := make([]Entry, 0, len(t.back[level]))
-	for _, e := range t.back[level] {
-		out = append(out, e)
-	}
+	out := slices.Clone(t.backs[t.boff[level]:t.boff[level+1]])
 	sortEntries(out)
 	return out
 }
 
-// AppendBacks appends the level's backpointers to dst in ascending ID order
-// — the deterministic iteration the maintenance and search paths use — and
-// returns the extended slice. No allocation beyond dst growth: the tail is
-// insertion-sorted in place rather than handed to sort.Slice.
-func (t *Table) AppendBacks(dst []Entry, level int) []Entry {
-	base := len(dst)
-	for _, e := range t.back[level] {
-		dst = append(dst, e)
-	}
-	tail := dst[base:]
-	for i := 1; i < len(tail); i++ {
-		for j := i; j > 0 && tail[j].ID.Less(tail[j-1].ID); j-- {
-			tail[j], tail[j-1] = tail[j-1], tail[j]
-		}
-	}
-	return dst
+// AppendBacks appends the backpointers of levels [lo, hi) to dst — level
+// ascending, ID ascending within a level, the deterministic order the
+// maintenance and search paths use — and returns the extended slice. It is
+// one contiguous copy, with no allocation beyond dst growth.
+func (t *Table) AppendBacks(dst []Entry, lo, hi int) []Entry {
+	return append(dst, t.backs[t.boff[lo]:t.boff[hi]]...)
 }
 
-// AllBacks returns every (level, backpointer) pair.
-func (t *Table) AllBacks() map[int][]Entry {
-	out := make(map[int][]Entry, len(t.back))
-	for l := range t.back {
-		if len(t.back[l]) > 0 {
+// AllBacks returns every backpointer, indexed by level, each level sorted by
+// (distance, ID). Levels without backpointers are nil.
+func (t *Table) AllBacks() [][]Entry {
+	out := make([][]Entry, t.spec.Digits)
+	for l := range out {
+		if t.BackCount(l) > 0 {
 			out[l] = t.Backs(l)
 		}
 	}

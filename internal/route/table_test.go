@@ -262,8 +262,13 @@ func TestBackpointers(t *testing.T) {
 		t.Fatalf("backs: %v", backs)
 	}
 	all := tb.AllBacks()
-	if len(all) != 1 || len(all[1]) != 2 {
+	if len(all) != tb.Levels() || len(all[1]) != 2 || all[1][0].Distance != 1 {
 		t.Fatalf("AllBacks: %v", all)
+	}
+	for l, backs := range all {
+		if l != 1 && backs != nil {
+			t.Fatalf("AllBacks level %d: %v, want nil", l, backs)
+		}
 	}
 	tb.RemoveBack(1, a.ID)
 	if len(tb.Backs(1)) != 1 {
