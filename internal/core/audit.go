@@ -224,7 +224,7 @@ func (m *Mesh) AuditProperty4() []string {
 		for _, guid := range server.PublishedObjects() {
 			for s := 0; s < m.cfg.RootSetSize; s++ {
 				key := m.cfg.Spec.Salt(guid, s)
-				_, err := server.routeToKey(key, nil, wire.RouteOpRoute, func(cur *Node, level int) bool {
+				_, err := server.routeToKey(key, nil, wire.RouteOpRoute, func(cur *Node, _, _ int) bool {
 					cur.mu.Lock()
 					ok := false
 					if st := cur.objects[guid]; st != nil {

@@ -126,7 +126,7 @@ func dumpObject(m *Mesh, guid ids.ID, server, client *Node) string {
 	// Walk from client and from server, dumping rec presence.
 	for name, start := range map[string]*Node{"client": client, "server": server} {
 		out += name + " walk:\n"
-		res, err := start.routeToKey(key, nil, wire.RouteOpRoute, func(cur *Node, level int) bool {
+		res, err := start.routeToKey(key, nil, wire.RouteOpRoute, func(cur *Node, level, _ int) bool {
 			cur.mu.Lock()
 			recs := "none"
 			if st := cur.objects[guid]; st != nil {

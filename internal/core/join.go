@@ -222,7 +222,7 @@ func (x *Node) linkAndXferRoot(n *Node, cost *netsim.Cost) {
 		st := x.objects[g]
 		for i := range st.recs {
 			r := st.recs[i]
-			terminalHere := x.nextHop(r.key, r.level, ids.ID{}, nil).terminal
+			terminalHere := x.nextHop(r.key, r.level, nil).terminal
 			if r.root || terminalHere {
 				st.recs[i].root = false
 				rr := st.recs[i]

@@ -194,7 +194,7 @@ func (h *Node) onPeerLeaving(leaver ids.ID, level int, replacements []route.Entr
 			if r.root {
 				continue
 			}
-			dec := h.nextHop(r.key, r.level, ids.ID{}, nil)
+			dec := h.nextHop(r.key, r.level, nil)
 			if !dec.terminal && dec.next.ID.Equal(leaver) {
 				rerouted = append(rerouted, work{r.guid, r})
 			}

@@ -3,7 +3,6 @@ package core
 import (
 	"tapestry/internal/ids"
 	"tapestry/internal/netsim"
-	"tapestry/internal/route"
 )
 
 // Section 6.3 locality enhancement: on transit-stub topologies, latency
@@ -28,70 +27,30 @@ func (m *Mesh) regionOf(a netsim.Addr) int {
 	return -1
 }
 
-// nextHopLocal makes the surrogate-routing decision restricted to neighbors
-// inside the given region ("treats the local network as its entire domain").
-// The caller holds n.mu.
-func (n *Node) nextHopLocal(key ids.ID, level, region int) hopDecision {
-	digits := n.table.Levels()
-	base := n.table.Base()
-	for l := level; l < digits; l++ {
-		var chosen []route.Entry
-		want := int(key.Digit(l))
-		for i := 0; i < base; i++ {
-			var local []route.Entry
-			for _, e := range n.table.SetView(l, ids.Digit((want+i)%base)) {
-				if n.mesh.regionOf(e.Addr) == region {
-					local = append(local, e)
-				}
-			}
-			if len(local) > 0 {
-				chosen = local
-				break
-			}
-		}
-		if len(chosen) == 0 {
-			return hopDecision{terminal: true}
-		}
-		if chosen[0].ID.Equal(n.id) {
-			continue
-		}
-		return hopDecision{next: chosen[0], nextLevel: l + 1}
-	}
-	return hopDecision{terminal: true}
+// stubScope confines a walk's hops, or a query's choice of replica, to one
+// region ("treats the local network as its entire domain"). The zero value
+// is the wide area.
+type stubScope struct {
+	local  bool
+	region int
 }
 
-// localWalk routes from n toward key using only stub-internal links,
-// applying visit at each node (including endpoints); it returns the local
-// root. All hops are intra-stub by construction.
-func (n *Node) localWalk(key ids.ID, region int, cost *netsim.Cost, visit func(cur *Node, level int) bool) *Node {
+// inStub scopes to one region.
+func inStub(region int) stubScope { return stubScope{local: true, region: region} }
+
+// admits reports whether address a lies inside the scope.
+func (s stubScope) admits(m *Mesh, a netsim.Addr) bool {
+	return !s.local || m.regionOf(a) == s.region
+}
+
+// stubWalk routes from n toward key using only links inside region,
+// applying visit at each node (including endpoints). All hops are
+// intra-stub by construction.
+func (n *Node) stubWalk(key ids.ID, region int, cost *netsim.Cost, visit func(cur *Node, level, hops int) bool) {
 	f := n.mesh.getFrames()
 	defer n.mesh.putFrames(f)
 	f.local.Key, f.local.Region = key, region
-	cur := n
-	level := 0
-	hops := 0
-	maxHops := n.table.Levels()*n.table.Base() + 8
-	for hops <= maxHops {
-		if visit != nil && visit(cur, level) {
-			return cur
-		}
-		cur.mu.Lock()
-		dec := cur.nextHopLocal(key, level, region)
-		cur.mu.Unlock()
-		if dec.terminal {
-			return cur
-		}
-		f.local.Level = dec.nextLevel
-		next, err := n.mesh.invoke(cur.addr, dec.next, &f.local, msgAck, cost, true)
-		if err != nil {
-			cur.noteDead(dec.next, cost)
-			continue
-		}
-		cur = next
-		level = dec.nextLevel
-		hops++
-	}
-	return cur
+	_, _ = n.walk(&walkSpec{key: key, step: &f.local, stub: inStub(region)}, cost, visit)
 }
 
 // PublishLocal publishes the object both wide-area (the ordinary publish)
@@ -110,7 +69,7 @@ func (n *Node) PublishLocal(guid ids.ID, cost *netsim.Cost) error {
 	for i := 0; i < n.mesh.cfg.RootSetSize; i++ {
 		key := n.mesh.cfg.Spec.Salt(guid, i)
 		prevID, prevAddr := ids.ID{}, n.addr
-		n.localWalk(key, region, cost, func(cur *Node, level int) bool {
+		n.stubWalk(key, region, cost, func(cur *Node, level, _ int) bool {
 			cur.depositPointer(pointerRec{
 				guid: guid, server: n.id, serverAddr: n.addr,
 				key: key, lastHop: prevID, lastAddr: prevAddr,
@@ -124,70 +83,22 @@ func (n *Node) PublishLocal(guid ids.ID, cost *netsim.Cost) error {
 }
 
 // LocateLocal performs the two-phase query of Section 6.3: first a
-// stub-restricted search (which cannot leave the client's stub), then, on a
-// miss, the ordinary wide-area locate. The second return value reports
-// whether the query was satisfied without leaving the stub.
+// stub-restricted search (which cannot leave the client's stub, and answers
+// only from replicas inside it), then, on a miss, the ordinary wide-area
+// locate. The second return value reports whether the query was satisfied
+// without leaving the stub.
 func (n *Node) LocateLocal(guid ids.ID, cost *netsim.Cost) (LocateResult, bool) {
 	region := n.mesh.regionOf(n.addr)
 	if region >= 0 {
 		key := n.mesh.cfg.Spec.Salt(guid, 0)
 		var found LocateResult
-		hops := 0
-		n.localWalk(key, region, cost, func(cur *Node, level int) bool {
-			res, ok := cur.serveQueryLocal(guid, region, cost, &hops)
-			if ok {
-				found = res
-				return true
-			}
-			hops++
-			return false
+		n.stubWalk(key, region, cost, func(cur *Node, _, hops int) bool {
+			found, _ = cur.serveQuery(guid, inStub(region), cost, &hops)
+			return found.Found
 		})
 		if found.Found {
 			return found, true
 		}
 	}
 	return n.Locate(guid, cost), false
-}
-
-// serveQueryLocal answers from pointers whose replica lives in the same
-// stub; remote replicas are ignored so the local phase never leaves. Like
-// serveQuery, selection is a single pass under the lock and a replica that
-// turns out dead or no longer publishing is purged on the spot (previously
-// stale local pointers were silently skipped and re-probed by every later
-// query until TTL expiry).
-func (cur *Node) serveQueryLocal(guid ids.ID, region int, cost *netsim.Cost, hops *int) (LocateResult, bool) {
-	var buf [16]pointerRec
-	for {
-		// Snapshot the stub-local records under the lock (the region check is
-		// a slice index); measure distances and verify outside it, exactly as
-		// serveQuery does.
-		recs := buf[:0]
-		cur.mu.Lock()
-		if st := cur.objects[guid]; st != nil {
-			for i := range st.recs {
-				if cur.mesh.regionOf(st.recs[i].serverAddr) == region {
-					recs = append(recs, st.recs[i])
-				}
-			}
-		}
-		cur.mu.Unlock()
-		if len(recs) == 0 {
-			return LocateResult{}, false
-		}
-		best := 0
-		bestD := cur.mesh.net.Distance(cur.addr, recs[0].serverAddr)
-		for i := 1; i < len(recs); i++ {
-			if d := cur.mesh.net.Distance(cur.addr, recs[i].serverAddr); d < bestD {
-				best, bestD = i, d
-			}
-		}
-		rec := recs[best]
-		if !cur.verifyReplica(guid, rec.server, rec.serverAddr, cost) {
-			cur.purgePointer(guid, rec.server, rec.key)
-			continue
-		}
-		*hops++
-		return LocateResult{Found: true, Server: rec.server, ServerAddr: rec.serverAddr,
-			FoundAt: cur.id, Hops: *hops}, true
-	}
 }

@@ -85,7 +85,7 @@ func (n *Node) republishBatched(guids []ids.ID, cost *netsim.Cost) {
 		node *Node
 		recs []wire.PubRec
 	}
-	maxHops := n.table.Levels()*n.table.Base() + 8 // same loop guard as routeToKey
+	maxHops := n.table.Levels()*n.table.Base() + 8 // same loop guard as walk
 	cf := n.mesh.getFrames()
 	cf.caravan.Server, cf.caravan.ServerAddr = n.id, n.addr
 	queue := []batch{{n, recs}}
@@ -99,7 +99,7 @@ func (n *Node) republishBatched(guids []ids.ID, cost *netsim.Cost) {
 		// which is torn down backwards (Figure 9) exactly as in publishPath.
 		for i := range b.recs {
 			r := &b.recs[i]
-			rec := pointerRec{
+			cur.depositConverging(pointerRec{
 				guid:       r.GUID,
 				server:     n.id,
 				serverAddr: n.addr,
@@ -108,22 +108,18 @@ func (n *Node) republishBatched(guids []ids.ID, cost *netsim.Cost) {
 				lastAddr:   r.PrevAddr,
 				level:      r.Level,
 				epoch:      now,
-			}
-			old, existed := cur.depositPointer(rec)
-			if existed && !old.lastHop.IsZero() && !old.lastHop.Equal(r.PrevID) {
-				cur.deleteBackward(r.GUID, r.Key, n.id, old.lastHop, old.lastAddr, n.id, cost)
-			}
+			}, n.id, cost)
 		}
 
 		// Decide next hops for the whole batch under one lock, group records
 		// by next node in first-seen order, and forward each group with a
 		// single message. A dead next hop is noted once and its group's
-		// records re-decided with the corpse excluded, like routeToKey's
+		// records re-decided with the corpse excluded, like walk's
 		// retry-through-secondaries.
 		// nextLevels[i] is record i's digits-resolved counter after the
 		// decided hop; recs[i].level itself stays the arrival level so a
-		// failed hop re-decides from the same state routeToKey would.
-		var deadSet map[ids.ID]struct{}
+		// failed hop re-decides from the same state walk would.
+		var skip hopFilter
 		nextLevels := make([]int, len(b.recs))
 		type group struct {
 			next route.Entry
@@ -133,7 +129,7 @@ func (n *Node) republishBatched(guids []ids.ID, cost *netsim.Cost) {
 			byNext := map[ids.ID]*group{}
 			cur.mu.Lock()
 			for _, i := range idxs {
-				dec := cur.nextHop(b.recs[i].Key, b.recs[i].Level, ids.ID{}, deadSet)
+				dec := cur.nextHop(b.recs[i].Key, b.recs[i].Level, &skip)
 				if dec.terminal {
 					terminals = append(terminals, i)
 					continue
@@ -175,10 +171,7 @@ func (n *Node) republishBatched(guids []ids.ID, cost *netsim.Cost) {
 			cf.caravan.Recs = sub
 			next, err := n.mesh.invoke(cur.addr, g.next, &cf.caravan, msgAck, cost, true)
 			if err != nil {
-				if deadSet == nil {
-					deadSet = make(map[ids.ID]struct{}, 2)
-				}
-				deadSet[g.next.ID] = struct{}{}
+				skip.markDead(g.next.ID)
 				cur.noteDead(g.next, cost)
 				// Re-decide just this group's records; new groups append to
 				// the worklist and terminals join the batch's terminal set.
@@ -207,23 +200,13 @@ func handleTerminalRecords(server, cur *Node, recs []wire.PubRec, idxs []int, co
 		return
 	}
 	cur.mu.Lock()
-	inserting := cur.state == stateInserting
-	bounce := inserting && !cur.psurrogate.ID.IsZero()
-	if !bounce {
-		for _, i := range idxs {
-			if st := cur.objects[recs[i].GUID]; st != nil {
-				for j := range st.recs {
-					if st.recs[j].samePath(server.id, recs[i].Key) {
-						st.recs[j].root = true
-					}
-				}
-			}
-		}
-	}
+	bounce := cur.state == stateInserting && !cur.psurrogate.ID.IsZero()
 	cur.mu.Unlock()
-	if bounce {
-		for _, i := range idxs {
+	for _, i := range idxs {
+		if bounce {
 			_ = server.publishPath(recs[i].GUID, recs[i].Key, cost)
+		} else {
+			cur.flagRoot(recs[i].GUID, server.id, recs[i].Key)
 		}
 	}
 }

@@ -121,12 +121,13 @@ func (n *Node) republishObject(guid ids.ID, cost *netsim.Cost) error {
 // publishPath walks one salted path from n to the key's root, depositing
 // pointers. Convergence with a stale path triggers backward deletion of the
 // outdated trail (Figure 9's DeletePointersBackward), keyed off a changed
-// lastHop at an already-present record.
+// lastHop at an already-present record; a full republish re-lays the entire
+// path, so the teardown runs all the way back to the server.
 func (n *Node) publishPath(guid, key ids.ID, cost *netsim.Cost) error {
 	now := n.mesh.net.Epoch()
 	prevID, prevAddr := ids.ID{}, n.addr
-	res, err := n.routeToKey(key, cost, wire.RouteOpPublish, func(cur *Node, level int) bool {
-		rec := pointerRec{
+	res, err := n.routeToKey(key, cost, wire.RouteOpPublish, func(cur *Node, level, _ int) bool {
+		cur.depositConverging(pointerRec{
 			guid:       guid,
 			server:     n.id,
 			serverAddr: n.addr,
@@ -135,30 +136,14 @@ func (n *Node) publishPath(guid, key ids.ID, cost *netsim.Cost) error {
 			lastAddr:   prevAddr,
 			level:      level,
 			epoch:      now,
-		}
-		old, existed := cur.depositPointer(rec)
-		if existed && !old.lastHop.IsZero() && !old.lastHop.Equal(prevID) {
-			// The new path converged onto a node that remembers an older
-			// path arriving from elsewhere: tear the stale trail down, all
-			// the way back to the server (a full republish re-lays the
-			// entire path, so everything off it is stale).
-			cur.deleteBackward(guid, key, n.id, old.lastHop, old.lastAddr, n.id, cost)
-		}
+		}, n.id, cost)
 		prevID, prevAddr = cur.id, cur.addr
 		return false
 	})
 	if err != nil {
 		return err
 	}
-	res.node.mu.Lock()
-	if st := res.node.objects[guid]; st != nil {
-		for i := range st.recs {
-			if st.recs[i].samePath(n.id, key) {
-				st.recs[i].root = true
-			}
-		}
-	}
-	res.node.mu.Unlock()
+	res.node.flagRoot(guid, n.id, key)
 	return nil
 }
 
@@ -196,7 +181,7 @@ func (n *Node) deleteBackward(guid, key, server ids.ID, hopID ids.ID, hopAddr ne
 					// pointers until the new root has acknowledged" is this
 					// guard in soft-state form). Stale residue that survives
 					// here is cleaned up by TTL expiry.
-					if r.root || target.nextHop(key, r.level, ids.ID{}, nil).terminal {
+					if r.root || target.nextHop(key, r.level, nil).terminal {
 						protected = true
 					}
 				}
@@ -238,7 +223,7 @@ func (n *Node) Unpublish(guid ids.ID, cost *netsim.Cost) {
 	spec := n.mesh.cfg.Spec
 	for i := 0; i < n.mesh.cfg.RootSetSize; i++ {
 		key := spec.Salt(guid, i)
-		_, _ = n.routeToKey(key, nil, wire.RouteOpUnpublish, func(cur *Node, level int) bool {
+		_, _ = n.routeToKey(key, cost, wire.RouteOpUnpublish, func(cur *Node, _, _ int) bool {
 			cur.mu.Lock()
 			if st := cur.objects[guid]; st != nil {
 				st.remove(n.id, key)
@@ -252,7 +237,6 @@ func (n *Node) Unpublish(guid ids.ID, cost *netsim.Cost) {
 			cur.mu.Unlock()
 			return false
 		})
-		_ = cost
 	}
 }
 
@@ -343,96 +327,42 @@ func (n *Node) locateVia(guid ids.ID, salt int, cost *netsim.Cost) LocateResult 
 	f := n.mesh.getFrames()
 	defer n.mesh.putFrames(f)
 	f.locate.GUID, f.locate.Key, f.locate.Salt = guid, key, salt
-	cur := n
-	level := 0
-	hops := 0
+	var out LocateResult
 	var visitedBuf [12]ids.ID
 	visited := visitedBuf[:0]
-	var deadSet map[ids.ID]struct{} // lazily allocated: only failed probes populate it
-	exclude := ids.ID{}
 	cacheOn := n.mesh.cfg.LocateCacheCap > 0
 	// path collects the traversed nodes so a successful answer can be cached
 	// at every hop on the (piggybacked) return path; nil when the cache is
 	// off, so the default configuration allocates nothing here.
 	var path []*Node
-	maxHops := n.table.Levels()*n.table.Base() + 8
-	for hops <= maxHops {
+	_, err := n.walk(&walkSpec{key: key, step: &f.locate, bounce: true}, cost, func(cur *Node, _, hops int) bool {
 		if cacheOn {
 			path = append(path, cur)
 		}
-		if res, ok := cur.serveQuery(guid, cost, &hops); ok {
-			cachePathDeposit(path, guid, res)
-			return res
+		res, ok := cur.serveQuery(guid, stubScope{}, cost, &hops)
+		if !ok && cacheOn {
+			res, ok = cur.serveFromCache(guid, cost, &hops)
 		}
-		if cacheOn {
-			if res, ok := cur.serveFromCache(guid, cost, &hops); ok {
-				cachePathDeposit(path, guid, res)
-				return res
-			}
+		if ok {
+			out = res
+			cachePathDeposit(path, guid, res)
+			return true
 		}
 		// Loop detection (Section 4.3: "including information in the message
-		// header about where the request has been"). Reached only when the
-		// walk re-ENTERS a node over the network; re-deciding at the same
-		// node after a failed probe (below) is not a loop.
+		// header about where the request has been"). The walk visits a node
+		// once per arrival over the network; re-deciding at the same node
+		// after a failed probe is not a loop.
 		if idIn(visited, cur.id) {
-			return LocateResult{Exhausted: true}
+			out.Exhausted = true
+			return true
 		}
 		visited = append(visited, cur.id)
-
-		// Decide and take the next hop, retrying through surviving entries
-		// when the chosen neighbor's host turns out dead (Observation 1
-		// fault tolerance): the corpse goes into deadSet and the decision is
-		// re-made at the same node instead of aborting the query. Each retry
-		// removes a table entry (noteDead) or excludes one, so the inner
-		// loop terminates.
-		for {
-			cur.mu.Lock()
-			dec := cur.nextHop(key, level, exclude, deadSet)
-			inserting := cur.state == stateInserting
-			psur := cur.psurrogate
-			alpha := cur.alpha
-			cur.mu.Unlock()
-
-			if dec.terminal {
-				if inserting && !psur.ID.IsZero() && !idIn(visited, psur.ID) {
-					// Figure 10: an inserting node that cannot satisfy the
-					// query bounces it to its pre-insertion surrogate, which
-					// routes as if the new node did not exist.
-					exclude = cur.id
-					f.locate.Level, f.locate.Hops = level, hops
-					next, err := n.mesh.invoke(cur.addr, psur, &f.locate, msgAck, cost, true)
-					if err != nil {
-						return LocateResult{}
-					}
-					cur = next
-					// Resume from the arrival level if below |α| (the key
-					// only provably shares min(arrival, |α|) digits with
-					// psur).
-					if alpha.Len() < level {
-						level = alpha.Len()
-					}
-					hops++
-					break
-				}
-				return LocateResult{} // true root reached without a pointer
-			}
-			f.locate.Level, f.locate.Hops = dec.nextLevel, hops
-			next, err := n.mesh.invoke(cur.addr, dec.next, &f.locate, msgAck, cost, true)
-			if err != nil {
-				if deadSet == nil {
-					deadSet = make(map[ids.ID]struct{}, 2)
-				}
-				deadSet[dec.next.ID] = struct{}{}
-				cur.noteDead(dec.next, cost)
-				continue
-			}
-			cur = next
-			level = dec.nextLevel
-			hops++
-			break
-		}
+		return false
+	})
+	if err != nil {
+		return LocateResult{Exhausted: true} // hop budget ran out
 	}
-	return LocateResult{Exhausted: true}
+	return out // a hit, a loop, or the root reached without a pointer
 }
 
 // cachePathDeposit records a successful answer at every upstream hop of the
@@ -473,14 +403,19 @@ func (cur *Node) verifyReplica(guid, server ids.ID, addr netsim.Addr, cost *nets
 // per pointer hit), and a replica that turns out dead — or live but no
 // longer publishing — is purged from the store on the spot, so subsequent
 // queries stop burning a probe on it until the soft-state refresh
-// re-deposits a live pointer.
-func (cur *Node) serveQuery(guid ids.ID, cost *netsim.Cost, hops *int) (LocateResult, bool) {
+// re-deposits a live pointer. A stub scope (§6.3) ignores replicas outside
+// the stub, so a stub-local query never leaves it.
+func (cur *Node) serveQuery(guid ids.ID, stub stubScope, cost *netsim.Cost, hops *int) (LocateResult, bool) {
 	var buf [16]pointerRec
 	for {
 		recs := buf[:0]
 		cur.mu.Lock()
 		if st := cur.objects[guid]; st != nil {
-			recs = append(recs, st.recs...)
+			for i := range st.recs {
+				if stub.admits(cur.mesh, st.recs[i].serverAddr) {
+					recs = append(recs, st.recs[i])
+				}
+			}
 		}
 		cur.mu.Unlock()
 		if len(recs) == 0 {
@@ -657,60 +592,32 @@ func (n *Node) OptimizeObjectPtrs(cost *netsim.Cost) {
 
 // forwardPointerPath re-walks the path of one pointer record from this node
 // toward its root using current tables (optionally routing as if `exclude`
-// did not exist), depositing/refreshing records and triggering backward
-// deletion where the new path converges with a stale one.
+// did not exist), depositing/refreshing records and tearing down the stale
+// trail wherever the new path converges with one — but only down to this
+// node, since the records upstream of it are still on the valid path. It
+// never bounces: join's pointer hand-off must be able to end at the
+// inserting node itself.
 func (n *Node) forwardPointerPath(guid ids.ID, rec pointerRec, now int64, cost *netsim.Cost, exclude ids.ID) {
 	f := n.mesh.getFrames()
 	defer n.mesh.putFrames(f)
 	f.fwd.GUID, f.fwd.Key = guid, rec.key
 	f.fwd.Server, f.fwd.ServerAddr = rec.server, rec.serverAddr
-	prevID, prevAddr := n.id, n.addr
-	cur := n
-	level := rec.level
-	hops := 0
-	maxHops := n.table.Levels()*n.table.Base() + 8
-	for hops <= maxHops {
-		cur.mu.Lock()
-		dec := cur.nextHop(rec.key, level, exclude, nil)
-		cur.mu.Unlock()
-		if dec.terminal {
-			cur.mu.Lock()
-			if st := cur.objects[guid]; st != nil {
-				for i := range st.recs {
-					if st.recs[i].samePath(rec.server, rec.key) {
-						st.recs[i].root = true
-					}
-				}
+	// Keep walking to the terminal even across convergence: the path
+	// downstream may have changed too (that is what triggered the re-route),
+	// so every node up to the new root must see the record.
+	res, err := n.walk(&walkSpec{key: rec.key, level: rec.level, step: &f.fwd, avoid: exclude}, cost,
+		func(cur *Node, level, hops int) bool {
+			if hops > 0 {
+				cur.depositConverging(pointerRec{
+					guid: guid, server: rec.server, serverAddr: rec.serverAddr,
+					key: rec.key, lastHop: f.fwd.PrevID, lastAddr: f.fwd.PrevAddr,
+					level: level, epoch: now,
+				}, n.id, cost)
 			}
-			cur.mu.Unlock()
-			return
-		}
-		f.fwd.Level = dec.nextLevel
-		f.fwd.PrevID, f.fwd.PrevAddr = prevID, prevAddr
-		next, err := n.mesh.invoke(cur.addr, dec.next, &f.fwd, msgAck, cost, true)
-		if err != nil {
-			cur.noteDead(dec.next, cost)
-			continue
-		}
-		newRec := pointerRec{
-			guid: guid, server: rec.server, serverAddr: rec.serverAddr,
-			key: rec.key, lastHop: prevID, lastAddr: prevAddr,
-			level: dec.nextLevel, epoch: now,
-		}
-		old, existed := next.depositPointer(newRec)
-		if existed && !old.lastHop.IsZero() && !old.lastHop.Equal(newRec.lastHop) && !old.lastHop.Equal(n.id) {
-			// The new path converged onto a node holding a record from a
-			// different predecessor: delete the stale trail backwards, but
-			// only down to the node that initiated this re-route — the
-			// records upstream of it are still on the valid path.
-			next.deleteBackward(guid, rec.key, rec.server, old.lastHop, old.lastAddr, n.id, cost)
-		}
-		// Keep walking to the terminal even across convergence: the path
-		// downstream may have changed too (that is what triggered the
-		// re-route), so every node up to the new root must see the record.
-		prevID, prevAddr = next.id, next.addr
-		cur = next
-		level = dec.nextLevel
-		hops++
+			f.fwd.PrevID, f.fwd.PrevAddr = cur.id, cur.addr
+			return false
+		})
+	if err == nil {
+		res.node.flagRoot(guid, rec.server, rec.key)
 	}
 }

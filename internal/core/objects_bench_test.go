@@ -69,7 +69,7 @@ func BenchmarkServeQueryManyPointers(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				hops := 0
-				if _, ok := serving.serveQuery(guid, nil, &hops); !ok {
+				if _, ok := serving.serveQuery(guid, stubScope{}, nil, &hops); !ok {
 					b.Fatal("pointer hit expected")
 				}
 			}

@@ -23,26 +23,55 @@ type hopDecision struct {
 	terminal bool
 }
 
+// hopFilter is what a routing decision must not pick: a node routed around
+// (avoid), the corpses the current walk has met (dead), and — for a §6.3
+// stub-local walk — every neighbor outside the stub. A nil *hopFilter skips
+// nothing.
+type hopFilter struct {
+	avoid ids.ID
+	dead  map[ids.ID]struct{} // lazily allocated: only failed probes populate it
+	stub  stubScope
+}
+
+// markDead adds id to the filter's dead set.
+func (f *hopFilter) markDead(id ids.ID) {
+	if f.dead == nil {
+		f.dead = make(map[ids.ID]struct{}, 2)
+	}
+	f.dead[id] = struct{}{}
+}
+
+// skips reports whether the filter rules e out.
+func (f *hopFilter) skips(m *Mesh, e route.Entry) bool {
+	if !f.avoid.IsZero() && e.ID.Equal(f.avoid) {
+		return true
+	}
+	if f.dead != nil {
+		if _, dead := f.dead[e.ID]; dead {
+			return true
+		}
+	}
+	return !f.stub.admits(m, e.Addr)
+}
+
 // nextHop makes the local surrogate-routing decision for key with `level`
-// digits already resolved, skipping the node identified by exclude (used by
-// Figure 10's "route as if the new node were absent"; pass ids.ID{} for no
-// exclusion) and skipping entries whose hosts are observed dead in `deadSet`
-// (per-operation memory of failed probes). The caller holds n.mu.
-func (n *Node) nextHop(key ids.ID, level int, exclude ids.ID, deadSet map[ids.ID]struct{}) hopDecision {
+// digits already resolved, skipping every entry the filter rules out (nil:
+// none). The caller holds n.mu.
+func (n *Node) nextHop(key ids.ID, level int, skip *hopFilter) hopDecision {
 	digits := n.table.Levels()
 	for l := level; l < digits; l++ {
 		var set []route.Entry
 		switch n.mesh.cfg.Surrogate {
 		case SchemeNative:
-			set = n.scanNative(key, l, exclude, deadSet)
+			set = n.scanNative(key, l, skip)
 		case SchemePRRLike:
-			set = n.scanPRRLike(key, l, exclude, deadSet)
+			set = n.scanPRRLike(key, l, skip)
 		default:
 			panic(fmt.Sprintf("core: unknown surrogate scheme %v", n.mesh.cfg.Surrogate))
 		}
 		if len(set) == 0 {
-			// Row is empty apart from excluded/dead entries; with self always
-			// present this only happens under exclusion — treat as terminal
+			// Row is empty apart from filtered entries; with self always
+			// present this only happens under filtering — treat as terminal
 			// at this node (it is the best surviving surrogate).
 			return hopDecision{terminal: true}
 		}
@@ -58,14 +87,14 @@ func (n *Node) nextHop(key ids.ID, level int, exclude ids.ID, deadSet map[ids.ID
 // row l: the first non-empty neighbor set encountered in surrogate order
 // (desired digit, then wrapping upward), primary first with live-looking
 // secondaries behind it for failover.
-func (n *Node) scanNative(key ids.ID, l int, exclude ids.ID, deadSet map[ids.ID]struct{}) []route.Entry {
+func (n *Node) scanNative(key ids.ID, l int, skip *hopFilter) []route.Entry {
 	// The surrogate order (ids.SurrogateOrder) is generated arithmetically
 	// instead of materialized: this scan runs once per level of every locate
 	// and publish, and the slice would be the hot path's only allocation.
 	base := n.table.Base()
 	want := int(key.Digit(l))
 	for i := 0; i < base; i++ {
-		set := n.usableSet(l, ids.Digit((want+i)%base), exclude, deadSet)
+		set := n.usableSet(l, ids.Digit((want+i)%base), skip)
 		if len(set) > 0 {
 			return set
 		}
@@ -80,9 +109,9 @@ func (n *Node) scanNative(key ids.ID, l int, exclude ids.ID, deadSet map[ids.ID]
 // the same rule once the desired digit is treated as its best-bit target; we
 // keep the per-level best-bit rule, which also yields a unique root under
 // Property 1 by the Theorem 2 argument.)
-func (n *Node) scanPRRLike(key ids.ID, l int, exclude ids.ID, deadSet map[ids.ID]struct{}) []route.Entry {
+func (n *Node) scanPRRLike(key ids.ID, l int, skip *hopFilter) []route.Entry {
 	want := key.Digit(l)
-	if set := n.usableSet(l, want, exclude, deadSet); len(set) > 0 {
+	if set := n.usableSet(l, want, skip); len(set) > 0 {
 		return set
 	}
 	bestScore := -1
@@ -92,7 +121,7 @@ func (n *Node) scanPRRLike(key ids.ID, l int, exclude ids.ID, deadSet map[ids.ID
 		if dd == want {
 			continue
 		}
-		set := n.usableSet(l, dd, exclude, deadSet)
+		set := n.usableSet(l, dd, skip)
 		if len(set) == 0 {
 			continue
 		}
@@ -115,30 +144,20 @@ func bitMatch(a, b ids.Digit) int {
 	return bits.LeadingZeros8(x)
 }
 
-// usableSet filters the neighbor set at (l, d) to entries that are not
-// excluded and not locally known to be dead; order (primary first) is
-// preserved. It reads the table storage in place (SetView): in the common
-// case — no exclusion, no observed corpses — it returns the view itself and
-// allocates nothing; the caller holds n.mu and must not retain the slice
-// across a table mutation, which every caller (nextHop and the scan helpers)
-// already satisfies.
-func (n *Node) usableSet(l int, d ids.Digit, exclude ids.ID, deadSet map[ids.ID]struct{}) []route.Entry {
+// usableSet filters the neighbor set at (l, d) to the entries skip admits;
+// order (primary first) is preserved. It reads the table storage in place
+// (SetView): in the common case — no filter, or one that rules nothing out
+// here — it returns the view itself and allocates nothing; the caller holds
+// n.mu and must not retain the slice across a table mutation, which every
+// caller (nextHop and the scan helpers) already satisfies.
+func (n *Node) usableSet(l int, d ids.Digit, skip *hopFilter) []route.Entry {
 	set := n.table.SetView(l, d)
-	skip := func(e route.Entry) bool {
-		if !exclude.IsZero() && e.ID.Equal(exclude) {
-			return true
-		}
-		if deadSet == nil {
-			return false
-		}
-		_, dead := deadSet[e.ID]
-		return dead
+	if skip == nil {
+		return set
 	}
 	i := 0
-	for ; i < len(set); i++ {
-		if skip(set[i]) {
-			break
-		}
+	for i < len(set) && !skip.skips(n.mesh, set[i]) {
+		i++
 	}
 	if i == len(set) {
 		return set // nothing filtered: zero-copy fast path
@@ -146,7 +165,7 @@ func (n *Node) usableSet(l int, d ids.Digit, exclude ids.ID, deadSet map[ids.ID]
 	out := make([]route.Entry, 0, len(set)-1)
 	out = append(out, set[:i]...)
 	for _, e := range set[i+1:] {
-		if !skip(e) {
+		if !skip.skips(n.mesh, e) {
 			out = append(out, e)
 		}
 	}
@@ -160,113 +179,9 @@ func (n *Node) usableSet(l int, d ids.Digit, exclude ids.ID, deadSet map[ids.ID]
 // the terminal (root) for key.
 func (n *Node) NextHopDecision(key ids.ID, level int) (route.Entry, int, bool) {
 	n.mu.Lock()
-	dec := n.nextHop(key, level, ids.ID{}, nil)
+	dec := n.nextHop(key, level, nil)
 	n.mu.Unlock()
 	return dec.next, dec.nextLevel, dec.terminal
-}
-
-// routeResult is where a key-directed walk ended.
-type routeResult struct {
-	node  *Node
-	hops  int
-	level int // digits resolved upon arrival (== spec.Digits at a true root)
-}
-
-// routeToKey walks from n toward key's root via surrogate routing, invoking
-// visit (if non-nil) exactly once at every node on the path including the
-// endpoints; visit returns true to stop early (e.g. a locate found a
-// pointer). It retries through secondary neighbors when a primary's host
-// turns out dead (Observation 1 fault tolerance) and repairs the stale link.
-// Each hop travels as a wire.RouteStep tagged with op (route, publish or
-// unpublish).
-func (n *Node) routeToKey(key ids.ID, cost *netsim.Cost, op wire.RouteOp, visit func(cur *Node, level int) bool) (routeResult, error) {
-	f := n.mesh.getFrames()
-	defer n.mesh.putFrames(f)
-	f.route.Key = key
-	f.route.Op = op
-	cur := n
-	level := 0
-	hops := 0
-	// Both sets are lazily allocated: a healthy walk never touches them, so
-	// the publish/optimize hot paths stay allocation-free.
-	var deadSet, bounced map[ids.ID]struct{}
-	visited := false                               // re-deciding after a dead hop must not re-visit cur
-	maxHops := n.table.Levels()*n.table.Base() + 8 // generous loop guard; Theorem 2 implies <= Levels hops
-	for {
-		if visit != nil && !visited && visit(cur, level) {
-			return routeResult{node: cur, hops: hops, level: level}, nil
-		}
-		visited = true
-		cur.mu.Lock()
-		dec := cur.nextHop(key, level, ids.ID{}, deadSet)
-		inserting := cur.state == stateInserting
-		psur := cur.psurrogate
-		alpha := cur.alpha
-		cur.mu.Unlock()
-		if dec.terminal {
-			// Figure 10: a node that is still inserting must not act as a
-			// terminal (its table is preliminary — ending a surrogate walk
-			// here would, e.g., give a concurrent Join a near-empty table to
-			// seed from). Bounce to its pre-insertion surrogate, which
-			// routes as if the new node did not exist. The exclusion goes in
-			// deadSet — a single excluded ID is not enough, because a walk
-			// that bounces off a second inserter could otherwise re-enter
-			// (and wrongly terminate at) the first.
-			_, alreadyBounced := bounced[cur.id]
-			if inserting && !psur.ID.IsZero() && !alreadyBounced {
-				if bounced == nil {
-					bounced = make(map[ids.ID]struct{}, 2)
-				}
-				if deadSet == nil {
-					deadSet = make(map[ids.ID]struct{}, 2)
-				}
-				bounced[cur.id] = struct{}{}
-				deadSet[cur.id] = struct{}{}
-				f.route.Level = level
-				next, err := n.mesh.invoke(cur.addr, psur, &f.route, msgAck, cost, true)
-				if err != nil {
-					// The pre-insertion surrogate died (join racing churn):
-					// degrade to terminating here rather than failing every
-					// walk that lands on this inserting node.
-					return routeResult{node: cur, hops: hops, level: cur.table.Levels()}, nil
-				}
-				cur = next
-				visited = false
-				// Resume from the arrival level if it is below |α|: the
-				// inserter's preliminary table may have resolved rows
-				// level..|α|-1 differently than its surrogate would, and
-				// "as if absent" means re-deciding them too.
-				if alpha.Len() < level {
-					level = alpha.Len()
-				}
-				hops++
-				if hops > maxHops {
-					return routeResult{}, fmt.Errorf("core: routing to %v exceeded %d hops (mesh inconsistent)", key, maxHops)
-				}
-				continue
-			}
-			return routeResult{node: cur, hops: hops, level: cur.table.Levels()}, nil
-		}
-		f.route.Level = dec.nextLevel
-		next, err := n.mesh.invoke(cur.addr, dec.next, &f.route, msgAck, cost, true)
-		if err != nil {
-			// Failed hop: remember the corpse for this operation, repair the
-			// table, and re-decide from the same node.
-			if deadSet == nil {
-				deadSet = make(map[ids.ID]struct{}, 2)
-			}
-			deadSet[dec.next.ID] = struct{}{}
-			cur.noteDead(dec.next, cost)
-			continue
-		}
-		cur = next
-		visited = false
-		level = dec.nextLevel
-		hops++
-		if hops > maxHops {
-			return routeResult{}, fmt.Errorf("core: routing to %v exceeded %d hops (mesh inconsistent)", key, maxHops)
-		}
-	}
 }
 
 // RouteToNode routes a message from n to the node owning exactly the given

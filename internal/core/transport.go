@@ -41,12 +41,15 @@ import (
 // data-carrying response (table-band queries, join snapshots, backpointer
 // registrations, leave notifications, share offers, replica verification)
 // are executed by (*Node).dispatch on the receiving node. Walk-step messages
-// (RouteStep, LocateStep, McastStep, CaravanStep, ...) are dispatch no-ops:
-// the walk drivers in this package perform each node's step in-process after
-// the transport delivers the hop, which keeps the iterative walk structure —
-// and its carefully tuned allocation behavior — intact while the messages
-// themselves document and (under loopback/TCP) exercise the full wire
-// protocol.
+// (RouteStep, LocateStep, PtrForward, LocalStep, McastStep, CaravanStep) are
+// dispatch no-ops: the sender performs each node's step in-process after the
+// transport delivers the hop. Every key-directed walk — route, publish,
+// unpublish, locate, pointer re-route, stub-local — takes its hops through
+// one driver, (*Node).walk in walk.go, which stamps the step's per-hop
+// fields; only the multicast tree and the batched republish caravan fan out
+// on their own. This keeps the iterative walk structure — and its carefully
+// tuned allocation behavior — intact while the messages themselves document
+// and (under loopback/TCP) exercise the full wire protocol.
 
 // TransportKind selects the message-transport backend of a Mesh.
 type TransportKind int
@@ -285,6 +288,34 @@ func (target *Node) dispatch(req, resp wire.Msg, cost *netsim.Cost) {
 	}
 }
 
+// dispatchResp reports whether dispatch handles req's type and, for a
+// handler that fills a typed response, which type that is (0: it fills
+// none). The TCP server checks every decoded frame against it, because a
+// frame naming an unhandled request, or the wrong response type for a typed
+// handler, would panic dispatch; in-process senders never build one.
+func dispatchResp(req wire.Msg) (resp wire.Type, handled bool) {
+	switch req.(type) {
+	case *wire.MatchQueryReq:
+		return wire.TMatchQueryResp, true
+	case *wire.TableBandReq:
+		return wire.TTableBandResp, true
+	case *wire.ShareReq:
+		return wire.TShareResp, true
+	case *wire.VerifyReq:
+		return wire.TVerifyResp, true
+	case *wire.JoinSnapshotReq:
+		return wire.TJoinSnapshotResp, true
+	case *wire.Ping, *wire.Ack, *wire.ReacquireReq,
+		*wire.RouteStep, *wire.LocateStep, *wire.LocalStep,
+		*wire.McastStep, *wire.CaravanStep, *wire.PtrForward, *wire.DeleteBack,
+		*wire.PublishReq, *wire.BackAdd, *wire.BackRemove, *wire.McastNotify,
+		*wire.LeaveNotify, *wire.NodeDeleted, *wire.DropLinks:
+		return 0, true
+	default:
+		return 0, false
+	}
+}
+
 // directTransport is the historical shared-memory path: charge, resolve,
 // direct method dispatch. Zero serialization, zero allocation.
 type directTransport struct{ m *Mesh }
@@ -445,6 +476,11 @@ func (t *tcpTransport) serveConn(conn net.Conn) {
 		}
 		req, _, err := wire.DecodeFrame(frame)
 		if err != nil {
+			return
+		}
+		// Fail closed: a frame dispatch cannot serve drops the connection.
+		want, handled := dispatchResp(req)
+		if !handled || want != 0 && (kind != 0 || wire.Type(respType) != want) {
 			return
 		}
 		target := t.m.NodeAt(netsim.Addr(toAddr))

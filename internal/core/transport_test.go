@@ -2,8 +2,14 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"io"
 	"math/rand"
+	"net"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"tapestry/internal/ids"
 	"tapestry/internal/metric"
@@ -206,5 +212,107 @@ func TestTableBandFoldDoesNotAllocate(t *testing.T) {
 		}
 	}); a != 0 {
 		t.Errorf("TableBandReq on the direct transport: %v allocs/op, want 0", a)
+	}
+}
+
+// rawTCPExchange writes one request in the TCP transport's header format
+// (see tcpTransport) on a fresh connection to the mesh's listener and
+// returns the status byte, or the read error if the server dropped the
+// connection without answering.
+func rawTCPExchange(t *testing.T, m *Mesh, kind byte, to *Node, respType wire.Type, req wire.Msg) (byte, error) {
+	t.Helper()
+	conn, err := net.Dial("tcp", m.tr.(*tcpTransport).ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var e wire.Enc
+	e.U8(kind)
+	e.Int(int(to.addr))
+	e.ID(to.id)
+	e.U8(byte(respType))
+	if _, err := conn.Write(wire.AppendFrame(e.Bytes(), req)); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var status [1]byte
+	_, err = io.ReadFull(conn, status[:])
+	return status[0], err
+}
+
+// TestTCPServerFailsClosed sends frames dispatch cannot serve straight to a
+// mesh's TCP listener: a typed-response request naming the wrong response
+// type, the same request as a one-way, and request types with no handler.
+// Each must cost only its own connection — never a panic that takes the
+// process down — and the mesh must keep serving afterwards.
+func TestTCPServerFailsClosed(t *testing.T) {
+	m, nodes := buildMeshTransport(t, 16, 5, TransportTCP)
+	target := nodes[3]
+	match := &wire.MatchQueryReq{Origin: target.id, Level: 0, Digit: 1}
+
+	// The header format is right: a well-formed invoke is answered.
+	if status, err := rawTCPExchange(t, m, 0, target, wire.TMatchQueryResp, match); err != nil || status != 0 {
+		t.Fatalf("well-formed MatchQueryReq: status %d, err %v", status, err)
+	}
+	for _, c := range []struct {
+		name     string
+		kind     byte
+		respType wire.Type
+		req      wire.Msg
+	}{
+		{"typed request, Ack response", 0, wire.TAck, match},
+		{"typed request as one-way", 1, 0, match},
+		{"response type as request", 0, wire.TAck, &wire.MatchQueryResp{}},
+		{"cluster message", 1, 0, &wire.ClusterAck{}},
+	} {
+		if status, err := rawTCPExchange(t, m, c.kind, target, c.respType, c.req); err == nil {
+			t.Errorf("%s: answered with status %d, want the connection dropped", c.name, status)
+		}
+	}
+
+	guid := testSpec.Hash("after-bad-frames")
+	if err := nodes[0].Publish(guid, nil); err != nil {
+		t.Fatal(err)
+	}
+	if res := nodes[9].Locate(guid, nil); !res.Found {
+		t.Fatal("mesh stopped serving after rejecting bad frames")
+	}
+}
+
+// TestDispatchRespMatchesDispatch pins the TCP server's frame check to
+// dispatch itself: every wire type dispatch handles is reported handled,
+// with the response type its handler fills, and every type dispatch has no
+// handler for is reported unhandled.
+func TestDispatchRespMatchesDispatch(t *testing.T) {
+	for ty := 0; ty < 256; ty++ {
+		req := wire.New(wire.Type(ty))
+		if req == nil {
+			continue
+		}
+		// A fresh mesh per type: a handler that panics on zero-valued
+		// content may leave its node locked.
+		_, nodes := buildMeshTransport(t, 4, 3, TransportDirect)
+		want, handled := dispatchResp(req)
+		resp := wire.Msg(&wire.Ack{})
+		if want != 0 {
+			resp = wire.New(want)
+		}
+		noHandler := func() (none bool) {
+			defer func() {
+				// Zero-valued requests may trip over their own content; only
+				// a missing handler or a mistyped response matters here.
+				if r := recover(); r != nil {
+					if _, mistyped := r.(*runtime.TypeAssertionError); mistyped {
+						t.Errorf("%T: dispatch fills a response other than %v", req, want)
+					}
+					none = strings.HasPrefix(fmt.Sprint(r), "core: no dispatch handler")
+				}
+			}()
+			nodes[0].dispatch(req, resp, nil)
+			return false
+		}()
+		if handled == noHandler {
+			t.Errorf("%T: dispatchResp reports handled=%v, dispatch disagrees", req, handled)
+		}
 	}
 }

@@ -41,8 +41,8 @@ type pointer struct {
 	addr   netsim.Addr
 }
 
-// Node is one daemon-hosted overlay node. The zero state answers every walk
-// with "not found"; ClusterInstall provisions it.
+// Node is one daemon-hosted overlay node. Until a ClusterInstall provisions
+// it, it refuses every walk.
 type Node struct {
 	mu     sync.Mutex
 	self   route.Entry
@@ -97,10 +97,17 @@ func (n *Node) serveConn(c net.Conn) {
 	}
 }
 
-// handle dispatches one request and returns its reply (nil = protocol error).
+// handle dispatches one request and returns its reply. A nil reply is a
+// protocol error, on which serveConn drops the connection: a frame that is
+// not a cluster request, an install describing a table the daemon cannot
+// hold, or a publish or locate that is malformed or arrives before any
+// install. One bad frame must never take the daemon down.
 func (n *Node) handle(req wire.Msg) wire.Msg {
 	switch m := req.(type) {
 	case *wire.ClusterInstall:
+		if !validInstall(m) {
+			return nil
+		}
 		n.install(m)
 		return &wire.ClusterAck{}
 	case *wire.ClusterServe:
@@ -117,6 +124,52 @@ func (n *Node) handle(req wire.Msg) wire.Msg {
 	default:
 		return nil
 	}
+}
+
+// maxR bounds an installed table's neighbor-set capacity, far above any
+// configured R: route.New allocates Digits×(R+1) entries up front.
+const maxR = 64
+
+// validInstall reports whether m describes a table route.New and Add can
+// hold: a valid spec, 1 ≤ R ≤ maxR, a well-formed self ID, and rows at
+// levels inside the spec naming well-formed IDs.
+func validInstall(m *wire.ClusterInstall) bool {
+	spec := ids.Spec{Base: m.Base, Digits: m.Digits}
+	if spec.Validate() != nil || m.R < 1 || m.R > maxR || !wellFormed(spec, m.Self.ID) {
+		return false
+	}
+	for _, r := range m.Rows {
+		if r.Level < 0 || r.Level >= spec.Digits || !wellFormed(spec, r.E.ID) {
+			return false
+		}
+	}
+	return true
+}
+
+// validWalkLocked reports whether a publish or locate hop can be routed
+// here: a table is installed, GUID and Key are well-formed for its spec, and
+// 0 ≤ level ≤ Digits. The caller holds n.mu, so a concurrent re-install
+// cannot change the spec between the check and the routing decision.
+func (n *Node) validWalkLocked(guid, key ids.ID, level int) bool {
+	if n.table == nil {
+		return false
+	}
+	spec := ids.Spec{Base: n.table.Base(), Digits: n.table.Levels()}
+	return wellFormed(spec, guid) && wellFormed(spec, key) && level >= 0 && level <= spec.Digits
+}
+
+// wellFormed reports whether id has exactly spec.Digits digits, each below
+// spec.Base.
+func wellFormed(spec ids.Spec, id ids.ID) bool {
+	if id.Len() != spec.Digits {
+		return false
+	}
+	for i := 0; i < id.Len(); i++ {
+		if int(id.Digit(i)) >= spec.Base {
+			return false
+		}
+	}
+	return true
 }
 
 // install provisions identity, routing table and the cluster address book.
@@ -144,9 +197,6 @@ func (n *Node) install(m *wire.ClusterInstall) {
 // (or an empty row, impossible with self present) means this node is the
 // key's root.
 func (n *Node) nextHopLocked(key ids.ID, level int) (next route.Entry, nextLevel int, terminal bool) {
-	if n.table == nil {
-		return route.Entry{}, 0, true
-	}
 	base := n.table.Base()
 	for l := level; l < n.table.Levels(); l++ {
 		want := int(key.Digit(l))
@@ -171,9 +221,13 @@ func (n *Node) nextHopLocked(key ids.ID, level int) (next route.Entry, nextLevel
 // publish handles one hop of a publish walk: deposit the pointer, then
 // either terminate (this node is the root) or forward and relay the
 // confirmation back down the chain. A zero Root in the reply reports a
-// broken walk.
+// broken walk; a malformed hop gets no reply (nil).
 func (n *Node) publish(m *wire.ClusterPublish) wire.Msg {
 	n.mu.Lock()
+	if !n.validWalkLocked(m.GUID, m.Key, m.Level) {
+		n.mu.Unlock()
+		return nil
+	}
 	n.ptrs[m.GUID] = pointer{server: m.Server, addr: m.ServerAddr}
 	next, level, terminal := n.nextHopLocked(m.Key, m.Level)
 	self := n.self
@@ -192,9 +246,13 @@ func (n *Node) publish(m *wire.ClusterPublish) wire.Msg {
 
 // locate handles one hop of a locate walk: answer from the served set or the
 // pointer map, or forward toward the key's root. Reaching the root without a
-// pointer is an authoritative miss.
+// pointer is an authoritative miss; a malformed hop gets no reply (nil).
 func (n *Node) locate(m *wire.ClusterLocate) wire.Msg {
 	n.mu.Lock()
+	if !n.validWalkLocked(m.GUID, m.Key, m.Level) {
+		n.mu.Unlock()
+		return nil
+	}
 	if _, ok := n.served[m.GUID]; ok {
 		self := n.self
 		n.mu.Unlock()

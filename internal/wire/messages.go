@@ -306,6 +306,7 @@ func (m *RouteStep) DecodeFrom(d *Dec) {
 	m.Level = d.Int()
 	m.Op = RouteOp(d.U8())
 }
+func (m *RouteStep) SetHop(level, _ int) { m.Level = level }
 
 // MatchQueryReq asks an informant for its entries at (Level, Digit) provided
 // the informant shares at least Level digits with Origin (the §5.2 repair
@@ -418,6 +419,7 @@ func (m *LocateStep) DecodeFrom(d *Dec) {
 	m.Hops = d.Int()
 	m.Salt = d.Int()
 }
+func (m *LocateStep) SetHop(level, hops int) { m.Level, m.Hops = level, hops }
 
 // VerifyReq asks a storage server whether it still serves a replica of GUID
 // (the liveness check a pointer holder runs before answering a query).
@@ -698,6 +700,7 @@ func (m *LocalStep) DecodeFrom(d *Dec) {
 	m.Level = d.Int()
 	m.Region = d.Int()
 }
+func (m *LocalStep) SetHop(level, _ int) { m.Level = level }
 
 // PtrForward is one hop of an object-pointer move (Section 4.2's
 // "move some object pointers" and the §5.1 leave handoff): re-walk the
@@ -731,6 +734,7 @@ func (m *PtrForward) DecodeFrom(d *Dec) {
 	m.PrevID = d.ID()
 	m.PrevAddr = d.Addr()
 }
+func (m *PtrForward) SetHop(level, _ int) { m.Level = level }
 
 // PublishReq asks the receiver to (re-)announce GUID. With Adopt set the
 // receiver first records itself as a replica server for GUID — the k-replica

@@ -44,6 +44,15 @@ type Msg interface {
 	DecodeFrom(*Dec)
 }
 
+// WalkStep is the hop message of a key-directed walk (RouteStep, LocateStep,
+// PtrForward, LocalStep). The sender stamps each hop's digits-resolved level
+// and the hops walked so far into it before the send; a message that
+// carries no hop count ignores the second value.
+type WalkStep interface {
+	Msg
+	SetHop(level, hops int)
+}
+
 // maxDigits bounds ID/prefix digit counts on decode (ids.Spec caps Digits at
 // 64); maxFrame bounds a framed message read from an untrusted stream.
 const (
