@@ -1,8 +1,10 @@
 // Command tapestry-node runs one Tapestry overlay node as a standalone
-// process: a TCP daemon speaking the wire cluster protocol (internal/wire).
-// It starts empty; a harness — normally examples/cluster — provisions its
-// routing table and endpoint book with ClusterInstall and then drives
-// publish/locate traffic that the daemons forward among themselves.
+// process: a TCP daemon speaking the wire cluster protocol on internal/wire's
+// socket layer. It starts empty; a harness — normally examples/cluster —
+// provisions its routing table and endpoint book with ClusterInstall and
+// then drives publish/locate traffic that the daemons forward among
+// themselves over pooled connections. Every request names the node it is
+// for, and the daemon answers "gone" to any but the one it hosts.
 //
 // The daemon prints exactly one line, "LISTEN <host:port>", once the
 // listener is up, so a parent process can scrape the bound address (the

@@ -4,7 +4,9 @@
 // daemon's routing table and endpoint book over TCP with the wire cluster
 // protocol, and then drives publish and locate traffic that the daemons
 // forward among themselves — every hop of every walk a real socket exchange
-// between real processes.
+// between real processes. The harness talks to each daemon through one
+// pooled internal/wire client, addressing every request to the node that
+// daemon hosts.
 //
 // Each daemon-routed walk is cross-checked against the central mesh: the
 // root a publish terminates at must equal the surrogate the in-memory
@@ -19,7 +21,6 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
-	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -35,36 +36,17 @@ import (
 	"tapestry/internal/wire"
 )
 
-// daemon is the harness's view of one spawned tapestry-node process: its
-// overlay identity and one persistent control connection.
+// daemon is the harness's view of one spawned tapestry-node process: the
+// overlay node it hosts and one client for its socket.
 type daemon struct {
-	proc *exec.Cmd
-	hp   string // daemon's host:port
-	conn net.Conn
-	rbuf []byte
-	wbuf []byte
+	proc   *exec.Cmd
+	hp     string // daemon's host:port
+	self   route.Entry
+	client *wire.Client
 }
 
-// exchange performs one request/response round trip on the control conn.
-func (d *daemon) exchange(req wire.Msg, want wire.Type) (wire.Msg, error) {
-	var err error
-	if d.wbuf, err = wire.WriteMsg(d.conn, d.wbuf, req); err != nil {
-		return nil, err
-	}
-	frame, err := wire.ReadFrame(d.conn, d.rbuf)
-	d.rbuf = frame
-	if err != nil {
-		return nil, err
-	}
-	resp, _, err := wire.DecodeFrame(frame)
-	if err != nil {
-		return nil, err
-	}
-	if resp.WireType() != want {
-		return nil, fmt.Errorf("reply type %v, want %v", resp.WireType(), want)
-	}
-	return resp, nil
-}
+// call sends req to the daemon's node and decodes its reply into resp.
+func (d *daemon) call(req, resp wire.Msg) error { return d.client.Call(d.self, req, resp) }
 
 func main() {
 	n := flag.Int("n", 100, "daemon processes to boot")
@@ -131,8 +113,8 @@ func run(n, objects, queries int, seed int64, basePort int) error {
 			if d == nil {
 				continue
 			}
-			if d.conn != nil {
-				d.conn.Close()
+			if d.client != nil {
+				d.client.Close()
 			}
 			if d.proc != nil {
 				d.proc.Process.Kill()
@@ -179,20 +161,19 @@ func run(n, objects, queries int, seed int64, basePort int) error {
 		eps[i] = wire.Endpoint{Addr: nodes[i].Addr(), HostPort: d.hp}
 	}
 	for i, d := range daemons {
-		if d.conn, err = net.DialTimeout("tcp", d.hp, 5*time.Second); err != nil {
-			return fmt.Errorf("dialing daemon %d: %v", i, err)
-		}
+		d.self = route.Entry{ID: nodes[i].ID(), Addr: nodes[i].Addr()}
+		d.client = wire.NewClient(d.hp)
 		inst := &wire.ClusterInstall{
 			Base:      mesh.Spec().Base,
 			Digits:    mesh.Spec().Digits,
 			R:         cfg.R,
-			Self:      route.Entry{ID: nodes[i].ID(), Addr: nodes[i].Addr()},
+			Self:      d.self,
 			Endpoints: eps,
 		}
 		nodes[i].Table().ForEachNeighbor(func(l int, e route.Entry) {
 			inst.Rows = append(inst.Rows, wire.LeveledEntry{Level: l, E: e})
 		})
-		if _, err := d.exchange(inst, wire.TClusterAck); err != nil {
+		if err := d.call(inst, &wire.ClusterAck{}); err != nil {
 			return fmt.Errorf("installing daemon %d: %v", i, err)
 		}
 	}
@@ -209,17 +190,17 @@ func run(n, objects, queries int, seed int64, basePort int) error {
 		guids[j] = mesh.Spec().Hash(fmt.Sprintf("object-%04d", j))
 		servers[j] = j % n
 		s := servers[j]
-		if _, err := daemons[s].exchange(&wire.ClusterServe{GUIDs: guids[j : j+1]}, wire.TClusterAck); err != nil {
+		if err := daemons[s].call(&wire.ClusterServe{GUIDs: guids[j : j+1]}, &wire.ClusterAck{}); err != nil {
 			return fmt.Errorf("serve %d: %v", j, err)
 		}
-		resp, err := daemons[s].exchange(&wire.ClusterPublish{
+		var done wire.ClusterPubDone
+		if err := daemons[s].call(&wire.ClusterPublish{
 			GUID: guids[j], Key: guids[j],
 			Server: nodes[s].ID(), ServerAddr: nodes[s].Addr(),
-		}, wire.TClusterPubDone)
-		if err != nil {
+		}, &done); err != nil {
 			return fmt.Errorf("publish %d: %v", j, err)
 		}
-		root := resp.(*wire.ClusterPubDone).Root
+		root := done.Root
 		oracle, _, err := nodes[s].SurrogateFor(guids[j], nil)
 		if err != nil {
 			return fmt.Errorf("oracle surrogate %d: %v", j, err)
@@ -237,12 +218,10 @@ func run(n, objects, queries int, seed int64, basePort int) error {
 	for q := 0; q < queries; q++ {
 		j := rng.Intn(objects)
 		c := rng.Intn(n)
-		resp, err := daemons[c].exchange(&wire.ClusterLocate{GUID: guids[j], Key: guids[j]},
-			wire.TClusterFound)
-		if err != nil {
+		var f wire.ClusterFound
+		if err := daemons[c].call(&wire.ClusterLocate{GUID: guids[j], Key: guids[j]}, &f); err != nil {
 			return fmt.Errorf("locate %d: %v", q, err)
 		}
-		f := resp.(*wire.ClusterFound)
 		if f.Found && f.ServerAddr == nodes[servers[j]].Addr() {
 			found++
 			hops += f.Hops

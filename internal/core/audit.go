@@ -111,12 +111,10 @@ func (m *Mesh) AuditProperty1() []string {
 		})
 	}
 	for _, n := range m.Nodes() {
-		for level, ents := range n.snapshotTable() {
-			for _, e := range ents {
-				if peer := m.NodeByID(e.ID); peer == nil || peer.addr != e.Addr {
-					violations = append(violations,
-						fmt.Sprintf("node %v: stale entry %v at level %d", n.id, e.ID, level))
-				}
+		for _, le := range n.snapshotTable() {
+			if peer := m.NodeByID(le.E.ID); peer == nil || peer.addr != le.E.Addr {
+				violations = append(violations,
+					fmt.Sprintf("node %v: stale entry %v at level %d", n.id, le.E.ID, le.Level))
 			}
 		}
 	}
@@ -250,37 +248,4 @@ func (m *Mesh) AuditProperty4() []string {
 		}
 	}
 	return violations
-}
-
-// AuditAvailability locates every published object from `probes` random live
-// vantage points and returns the number of failed (object, vantage) pairs
-// plus the total attempts.
-func (m *Mesh) AuditAvailability(rng *rand.Rand, probes int) (failed, total int) {
-	nodes := m.Nodes()
-	if len(nodes) == 0 {
-		return 0, 0
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].id.Less(nodes[j].id) })
-	objs := map[string]ids.ID{}
-	for _, n := range nodes {
-		for _, g := range n.PublishedObjects() {
-			objs[g.String()] = g
-		}
-	}
-	keys := make([]string, 0, len(objs))
-	for k := range objs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		g := objs[k]
-		for p := 0; p < probes; p++ {
-			client := nodes[rng.Intn(len(nodes))]
-			total++
-			if res := client.Locate(g, nil); !res.Found {
-				failed++
-			}
-		}
-	}
-	return failed, total
 }

@@ -190,20 +190,7 @@ func (x *Node) linkAndXferRoot(n *Node, cost *netsim.Cost) {
 	if x.id.Equal(n.id) {
 		return
 	}
-	d := x.mesh.net.Distance(x.addr, n.addr)
-	e := route.Entry{ID: n.id, Addr: n.addr, Distance: d}
-	max := ids.CommonPrefixLen(x.id, n.id)
-	x.mu.Lock()
-	var improves []int
-	for l := 0; l <= max && l < x.table.Levels(); l++ {
-		if x.table.WouldImprove(l, n.id, d) {
-			improves = append(improves, l)
-		}
-	}
-	x.mu.Unlock()
-	for _, l := range improves {
-		x.addNeighborAndNotify(l, e, cost)
-	}
+	x.addToTableIfCloser(n, cost)
 
 	// Root transfer: every pointer rooted at X is re-routed from level 0 —
 	// the true-root computation. The new node may have re-rooted a key by

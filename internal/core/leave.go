@@ -9,22 +9,9 @@ import (
 	"tapestry/internal/route"
 )
 
-// sortedLevels returns the level keys of snapshotTable's per-level entry map
-// in ascending order. Iterating the map directly would make probe and repair
-// order — and therefore eviction tie-breaks and message costs at every peer —
-// nondeterministic map-iteration order.
-func sortedLevels(byLevel map[int][]route.Entry) []int {
-	levels := make([]int, 0, len(byLevel))
-	for l := range byLevel {
-		levels = append(levels, l)
-	}
-	sort.Ints(levels)
-	return levels
-}
-
 // sortedGUIDs returns the keys of a node's object-pointer map in ascending
-// ID order, for the same reason: pointer re-routing order must not be
-// map-iteration order.
+// ID order: pointer re-routing order decides repair traffic at every peer,
+// so it must not be map-iteration order.
 func sortedGUIDs(objects map[ids.ID]*objState) []ids.ID {
 	guids := make([]ids.ID, 0, len(objects))
 	for g := range objects {

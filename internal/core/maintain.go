@@ -35,30 +35,32 @@ import (
 // identical, only the redundant probes are gone. Returns the total number of
 // dead links removed across the mesh.
 func (m *Mesh) SweepDeadAll(cost *netsim.Cost) int {
+	return m.sweepDead(m.Nodes(), cost)
+}
+
+// sweepDead is the heartbeat loop of both sweeps. Each node considers each
+// distinct neighbor once, in its snapshot's (level, digit, rank) order;
+// the first probe of a neighbor decides its verdict for every later holder.
+// With one node, the verdict map is exactly that node's seen set.
+func (m *Mesh) sweepDead(nodes []*Node, cost *netsim.Cost) int {
 	verdict := map[ids.ID]bool{}
 	removed := 0
-	for _, n := range m.Nodes() {
-		// Per-node iteration mirrors Node.SweepDead: ascending level order
-		// over a snapshot, each distinct neighbor considered once, so the
-		// order repairs run in (and with it eviction tie-breaks) matches the
-		// unbatched sweep's determinism contract.
-		neighbors := n.snapshotTable()
+	for _, n := range nodes {
 		seen := map[ids.ID]struct{}{}
-		for _, l := range sortedLevels(neighbors) {
-			for _, e := range neighbors[l] {
-				if _, dup := seen[e.ID]; dup {
-					continue
-				}
-				seen[e.ID] = struct{}{}
-				alive, probed := verdict[e.ID]
-				if !probed {
-					_, err := m.invoke(n.addr, e, msgPing, msgAck, cost, false)
-					alive = err == nil
-					verdict[e.ID] = alive
-				}
-				if !alive {
-					removed += n.noteDead(e, cost)
-				}
+		for _, le := range n.snapshotTable() {
+			e := le.E
+			if _, dup := seen[e.ID]; dup {
+				continue
+			}
+			seen[e.ID] = struct{}{}
+			alive, probed := verdict[e.ID]
+			if !probed {
+				_, err := m.invoke(n.addr, e, msgPing, msgAck, cost, false)
+				alive = err == nil
+				verdict[e.ID] = alive
+			}
+			if !alive {
+				removed += n.noteDead(e, cost)
 			}
 		}
 	}

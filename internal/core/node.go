@@ -29,6 +29,7 @@ import (
 	"tapestry/internal/netsim"
 	"tapestry/internal/route"
 	"tapestry/internal/stats"
+	"tapestry/internal/wire"
 )
 
 // Scheme selects the surrogate-routing variant of Section 2.3.
@@ -103,10 +104,6 @@ type Config struct {
 	// found by the §4.2 nearest-neighbor engine. Default 1 (no extra
 	// copies); plain Publish ignores it.
 	Replicas int
-	// LocateProbes bounds how many salted roots one Locate tries before
-	// giving up — the cheap sequential-fallback policy. Zero (the default)
-	// probes the full root set; values above RootSetSize are clamped to it.
-	LocateProbes int
 	// Surrogate selects the localized routing variant.
 	Surrogate Scheme
 	// Repair selects the hole-repair strategy after neighbor failures; the
@@ -177,12 +174,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.Replicas < 1 {
 		return c, errors.New("core: Replicas must be >= 1")
-	}
-	if c.LocateProbes < 0 {
-		return c, errors.New("core: LocateProbes must be >= 0 (0 probes every root)")
-	}
-	if c.LocateProbes == 0 || c.LocateProbes > c.RootSetSize {
-		c.LocateProbes = c.RootSetSize
 	}
 	if c.PointerTTL == 0 {
 		c.PointerTTL = 3
@@ -600,16 +591,16 @@ func (n *Node) sendBackpointerRemove(level int, e route.Entry, cost *netsim.Cost
 	n.mesh.putFrames(f)
 }
 
-// snapshotTable returns a deep copy of the node's forward links as entries
-// grouped by level, used by SweepDead, ReorderNeighborSets and the
-// preliminary-table copy. Iterate the result via sortedLevels wherever the
-// order has observable effects.
-func (n *Node) snapshotTable() map[int][]route.Entry {
+// snapshotTable returns a copy of the node's forward links in ascending
+// (level, digit, rank) order. Callers probe, repair and report in this
+// order, so the order repairs run in — and with it repair traffic, eviction
+// tie-breaks and which probes draw link loss — is deterministic.
+func (n *Node) snapshotTable() []wire.LeveledEntry {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	out := make(map[int][]route.Entry)
+	out := make([]wire.LeveledEntry, 0, n.table.NeighborCount())
 	n.table.ForEachNeighbor(func(level int, e route.Entry) {
-		out[level] = append(out[level], e)
+		out = append(out, wire.LeveledEntry{Level: level, E: e})
 	})
 	return out
 }

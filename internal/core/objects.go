@@ -258,7 +258,7 @@ type LocateResult struct {
 // first node holding a pointer and then proceeding to the closest replica
 // (Section 2.2, Figure 3). With multiple roots the starting root is chosen
 // pseudo-randomly and the rest are tried on failure (Observation 1) — a
-// sequential fallback over at most Config.LocateProbes roots. The choice is
+// sequential fallback over every root of the set. The choice is
 // drawn from a per-node SplitMix64 stream (seeded from Config.Seed and the
 // node ID) advanced by an atomic counter, so concurrent queries never
 // serialize on a shared RNG lock and serial runs replay exactly.
@@ -277,7 +277,7 @@ func (n *Node) Locate(guid ids.ID, cost *netsim.Cost) LocateResult {
 	var out LocateResult
 	var missedBuf [8]int
 	missed := missedBuf[:0]
-	for t := 0; t < n.mesh.cfg.LocateProbes; t++ {
+	for t := 0; t < k; t++ {
 		salt := (start + t) % k
 		res := n.locateVia(guid, salt, cost)
 		if res.Found {

@@ -34,16 +34,13 @@ import (
 // number of sets whose primary changed.
 func (n *Node) ReorderNeighborSets(cost *netsim.Cost) int {
 	// Collect distinct neighbors and probe them (one RPC each).
-	neighbors := n.snapshotTable()
 	alive := map[ids.ID]bool{}
-	for _, ents := range neighbors {
-		for _, e := range ents {
-			if _, probed := alive[e.ID]; probed {
-				continue
-			}
-			_, err := n.mesh.invoke(n.addr, e, msgPing, msgAck, cost, false)
-			alive[e.ID] = err == nil
+	for _, le := range n.snapshotTable() {
+		if _, probed := alive[le.E.ID]; probed {
+			continue
 		}
+		_, err := n.mesh.invoke(n.addr, le.E, msgPing, msgAck, cost, false)
+		alive[le.E.ID] = err == nil
 	}
 	changed := 0
 	n.mu.Lock()

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"tapestry/internal/ids"
@@ -157,5 +159,36 @@ func TestReacquireOnLonerIsNoop(t *testing.T) {
 	}
 	if err := n.ReacquireTable(nil); err != nil {
 		t.Fatalf("loner reacquire should be a no-op, got %v", err)
+	}
+}
+
+// TestSnapshotOrderDeterministicUnderLoss repeats one lossy scenario on twin
+// meshes and requires identical outcomes. Under link loss, which probes draw
+// a loss decides which neighbors ReorderNeighborSets re-measures, so its
+// probe order must be fixed; the stale entries AuditProperty1 reports after
+// crashes must come out in a fixed order too. Both once followed Go map
+// order.
+func TestSnapshotOrderDeterministicUnderLoss(t *testing.T) {
+	run := func() string {
+		m, nodes := buildMesh(t, 48, testConfig(), 7)
+		degradeTables(m)
+		m.net.SetLinkFaults(0.3, 0, 99)
+		var cost netsim.Cost
+		out := ""
+		for _, n := range nodes[:8] {
+			out += fmt.Sprintf("%d ", n.ReorderNeighborSets(&cost))
+		}
+		m.net.SetLinkFaults(0, 0, 0)
+		out += fmt.Sprintf("| msgs %d | P2 %d |", cost.Messages(), len(m.AuditProperty2()))
+		for _, n := range nodes[10:14] {
+			m.Fail(n)
+		}
+		return out + strings.Join(m.AuditProperty1(), ";")
+	}
+	want := run()
+	for i := 1; i < 20; i++ {
+		if got := run(); got != want {
+			t.Fatalf("run %d diverged from run 0:\n got %s\nwant %s", i, got, want)
+		}
 	}
 }

@@ -341,23 +341,5 @@ func (n *Node) repairHoleScan(level int, digit ids.Digit, dead ids.ID, cost *net
 // the number of dead links removed: a neighbor held at several levels counts
 // once per level its link was dropped from, matching what Remove reports.
 func (n *Node) SweepDead(cost *netsim.Cost) int {
-	// Probe in ascending level order: snapshotTable is a map, and probe order
-	// decides the order repairs run in — and with it repair traffic and
-	// eviction tie-breaks — so iterating it directly would make sweeps
-	// nondeterministic (the same map-order bug class the Leave path had).
-	neighbors := n.snapshotTable()
-	removed := 0
-	seen := map[ids.ID]struct{}{}
-	for _, l := range sortedLevels(neighbors) {
-		for _, e := range neighbors[l] {
-			if _, ok := seen[e.ID]; ok {
-				continue
-			}
-			seen[e.ID] = struct{}{}
-			if _, err := n.mesh.invoke(n.addr, e, msgPing, msgAck, cost, false); err != nil {
-				removed += n.noteDead(e, cost)
-			}
-		}
-	}
-	return removed
+	return n.mesh.sweepDead([]*Node{n}, cost)
 }

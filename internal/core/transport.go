@@ -1,11 +1,8 @@
 package core
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"os"
 	"sync"
@@ -31,11 +28,16 @@ import (
 //     struct) before the peer sees it, so running the full test suite under
 //     it proves every RPC survives serialization.
 //   - TransportTCP: every message additionally crosses a real socket through
-//     a per-mesh loopback listener. Simulated costs are still charged on the
-//     caller (the cost model is the simulator's, not the kernel's); peer-side
-//     work triggered by a handler is not charged, since a *netsim.Cost cannot
-//     cross a socket. Incompatible with the virtual-time event engine, whose
-//     clock only advances between simulated sends.
+//     a per-mesh loopback listener, on internal/wire's socket layer (the
+//     request envelope, server loop and pooled client the tapestry-node
+//     daemons use too). The envelope names the target node, and the server
+//     answers "gone" for a node that is not there, which the sender maps
+//     onto the same PeerError as the other backends. Simulated costs are
+//     still charged on the caller (the cost model is the simulator's, not
+//     the kernel's); peer-side work triggered by a handler is not charged,
+//     since a *netsim.Cost cannot cross a socket. Incompatible with the
+//     virtual-time event engine, whose clock only advances between
+//     simulated sends.
 //
 // Division of labor: messages whose peer-side effect is a state mutation or a
 // data-carrying response (table-band queries, join snapshots, backpointer
@@ -137,7 +139,6 @@ func (e *PeerError) Unwrap() error { return e.Err }
 // live peer, run its dispatch handler, and return the peer for the walk
 // drivers' in-process continuation. Errors are always *PeerError.
 type Transport interface {
-	Kind() TransportKind
 	Invoke(from netsim.Addr, to route.Entry, req, resp wire.Msg, cost *netsim.Cost, hop bool) (*Node, error)
 	OneWay(from netsim.Addr, to route.Entry, msg wire.Msg, cost *netsim.Cost) (*Node, error)
 	Close() error
@@ -217,13 +218,19 @@ func newTransport(m *Mesh, k TransportKind) (Transport, error) {
 	}
 }
 
+// errUnservable reports a request dispatch has no handler for, or a typed
+// request whose response is missing or of another type. In-process senders
+// never build one; the TCP server drops the connection on it.
+var errUnservable = errors.New("core: request cannot be dispatched")
+
 // dispatch applies req's peer-side effect at the target node, filling resp
 // for request/response messages (resp is nil for one-ways). It runs after the
 // transport has charged the exchange and resolved the live target — the same
 // point where the pre-transport code performed these mutations inline at the
 // call site. cost is the operation's meter on direct/loopback and nil on the
-// TCP server side.
-func (target *Node) dispatch(req, resp wire.Msg, cost *netsim.Cost) {
+// TCP server side. A request it cannot serve is reported before any lock is
+// taken or any state changes.
+func (target *Node) dispatch(req, resp wire.Msg, cost *netsim.Cost) error {
 	switch q := req.(type) {
 	case *wire.Ping, *wire.Ack, *wire.ReacquireReq,
 		*wire.RouteStep, *wire.LocateStep, *wire.LocalStep,
@@ -231,7 +238,10 @@ func (target *Node) dispatch(req, resp wire.Msg, cost *netsim.Cost) {
 		// Walk steps and probes: the per-node work is performed by the
 		// driving walk loop in-process (see the file comment).
 	case *wire.MatchQueryReq:
-		r := resp.(*wire.MatchQueryResp)
+		r, ok := resp.(*wire.MatchQueryResp)
+		if !ok {
+			return unservable(req, resp)
+		}
 		r.Entries = r.Entries[:0]
 		target.mu.Lock()
 		if ids.CommonPrefixLen(target.id, q.Origin) >= q.Level {
@@ -239,7 +249,10 @@ func (target *Node) dispatch(req, resp wire.Msg, cost *netsim.Cost) {
 		}
 		target.mu.Unlock()
 	case *wire.TableBandReq:
-		r := resp.(*wire.TableBandResp)
+		r, ok := resp.(*wire.TableBandResp)
+		if !ok {
+			return unservable(req, resp)
+		}
 		r.Entries = r.Entries[:0]
 		target.mu.Lock()
 		top := target.table.Levels()
@@ -254,15 +267,27 @@ func (target *Node) dispatch(req, resp wire.Msg, cost *netsim.Cost) {
 		}
 		target.mu.Unlock()
 	case *wire.ShareReq:
-		resp.(*wire.ShareResp).Adopted = target.considerEntries(q.Entries, cost)
+		r, ok := resp.(*wire.ShareResp)
+		if !ok {
+			return unservable(req, resp)
+		}
+		r.Adopted = target.considerEntries(q.Entries, cost)
 	case *wire.VerifyReq:
+		r, ok := resp.(*wire.VerifyResp)
+		if !ok {
+			return unservable(req, resp)
+		}
 		target.mu.Lock()
-		resp.(*wire.VerifyResp).Serves = target.published[q.GUID]
+		r.Serves = target.published[q.GUID]
 		target.mu.Unlock()
 	case *wire.PublishReq:
 		target.handlePublishReq(q, cost)
 	case *wire.JoinSnapshotReq:
-		target.joinSnapshot(q, resp.(*wire.JoinSnapshotResp), cost)
+		r, ok := resp.(*wire.JoinSnapshotResp)
+		if !ok {
+			return unservable(req, resp)
+		}
+		target.joinSnapshot(q, r, cost)
 	case *wire.BackAdd:
 		target.mu.Lock()
 		target.table.AddBack(q.Level, q.From)
@@ -284,35 +309,20 @@ func (target *Node) dispatch(req, resp wire.Msg, cost *netsim.Cost) {
 		target.table.Remove(q.ID)
 		target.mu.Unlock()
 	default:
-		panic(fmt.Sprintf("core: no dispatch handler for %T", req))
+		return unservable(req, resp)
 	}
+	return nil
 }
 
-// dispatchResp reports whether dispatch handles req's type and, for a
-// handler that fills a typed response, which type that is (0: it fills
-// none). The TCP server checks every decoded frame against it, because a
-// frame naming an unhandled request, or the wrong response type for a typed
-// handler, would panic dispatch; in-process senders never build one.
-func dispatchResp(req wire.Msg) (resp wire.Type, handled bool) {
-	switch req.(type) {
-	case *wire.MatchQueryReq:
-		return wire.TMatchQueryResp, true
-	case *wire.TableBandReq:
-		return wire.TTableBandResp, true
-	case *wire.ShareReq:
-		return wire.TShareResp, true
-	case *wire.VerifyReq:
-		return wire.TVerifyResp, true
-	case *wire.JoinSnapshotReq:
-		return wire.TJoinSnapshotResp, true
-	case *wire.Ping, *wire.Ack, *wire.ReacquireReq,
-		*wire.RouteStep, *wire.LocateStep, *wire.LocalStep,
-		*wire.McastStep, *wire.CaravanStep, *wire.PtrForward, *wire.DeleteBack,
-		*wire.PublishReq, *wire.BackAdd, *wire.BackRemove, *wire.McastNotify,
-		*wire.LeaveNotify, *wire.NodeDeleted, *wire.DropLinks:
-		return 0, true
-	default:
-		return 0, false
+func unservable(req, resp wire.Msg) error {
+	return fmt.Errorf("%w: %T with response %T", errUnservable, req, resp)
+}
+
+// mustDispatch is dispatch for the in-process backends, whose senders never
+// build a request dispatch cannot serve: such a request is a bug.
+func mustDispatch(target *Node, req, resp wire.Msg, cost *netsim.Cost) {
+	if err := target.dispatch(req, resp, cost); err != nil {
+		panic(err)
 	}
 }
 
@@ -320,14 +330,12 @@ func dispatchResp(req wire.Msg) (resp wire.Type, handled bool) {
 // direct method dispatch. Zero serialization, zero allocation.
 type directTransport struct{ m *Mesh }
 
-func (t directTransport) Kind() TransportKind { return TransportDirect }
-
 func (t directTransport) Invoke(from netsim.Addr, to route.Entry, req, resp wire.Msg, cost *netsim.Cost, hop bool) (*Node, error) {
 	target, err := t.m.rpc(from, to, cost, hop)
 	if err != nil {
 		return nil, err
 	}
-	target.dispatch(req, resp, cost)
+	mustDispatch(target, req, resp, cost)
 	return target, nil
 }
 
@@ -336,7 +344,7 @@ func (t directTransport) OneWay(from netsim.Addr, to route.Entry, msg wire.Msg, 
 	if err != nil {
 		return nil, err
 	}
-	target.dispatch(msg, nil, cost)
+	mustDispatch(target, msg, nil, cost)
 	return target, nil
 }
 
@@ -355,8 +363,6 @@ type loopbackTransport struct {
 type loopScratch struct {
 	buf []byte
 }
-
-func (t *loopbackTransport) Kind() TransportKind { return TransportLoopback }
 
 func (t *loopbackTransport) getScratch() *loopScratch {
 	if s, ok := t.pool.Get().(*loopScratch); ok {
@@ -383,7 +389,7 @@ func (t *loopbackTransport) Invoke(from netsim.Addr, to route.Entry, req, resp w
 	s := t.getScratch()
 	wireReq := t.roundTrip(s, req)
 	wireResp := wire.New(resp.WireType())
-	target.dispatch(wireReq, wireResp, cost)
+	mustDispatch(target, wireReq, wireResp, cost)
 	s.buf = wire.AppendFrame(s.buf[:0], wireResp)
 	if _, err := wire.DecodeFrameInto(s.buf, resp); err != nil {
 		panic(fmt.Sprintf("core: loopback codec response round-trip of %T failed: %v", wireResp, err))
@@ -400,25 +406,20 @@ func (t *loopbackTransport) OneWay(from netsim.Addr, to route.Entry, msg wire.Ms
 	s := t.getScratch()
 	wireMsg := t.roundTrip(s, msg)
 	t.pool.Put(s)
-	target.dispatch(wireMsg, nil, cost)
+	mustDispatch(target, wireMsg, nil, cost)
 	return target, nil
 }
 
 func (t *loopbackTransport) Close() error { return nil }
 
 // tcpTransport routes every message through a real localhost TCP listener
-// owned by the mesh. The request header on a pooled connection is
-//
-//	[u8 kind: 0 invoke / 1 one-way][zigzag to.Addr][u8 idLen][id digits]
-//	[u8 expected response type][framed request]
-//
-// and the reply is [u8 status: 0 ok / 1 peer gone][framed response] (invoke)
-// or just the status byte (one-way — an uncharged transport-level ack that
-// preserves the package's synchronous delivery semantics).
+// owned by the mesh, using internal/wire's socket layer: one pooled client
+// for the sending side, and the envelope's addressed node resolved on the
+// serving side.
 type tcpTransport struct {
 	m      *Mesh
 	ln     net.Listener
-	conns  chan net.Conn
+	client *wire.Client
 	closed atomic.Bool
 }
 
@@ -430,208 +431,71 @@ func newTCPTransport(m *Mesh) (*tcpTransport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: tcp transport listener: %w", err)
 	}
-	t := &tcpTransport{m: m, ln: ln, conns: make(chan net.Conn, 64)}
-	go t.acceptLoop()
+	t := &tcpTransport{m: m, ln: ln, client: wire.NewClient(ln.Addr().String())}
+	go wire.Serve(ln, t.serve)
 	return t, nil
 }
 
-func (t *tcpTransport) Kind() TransportKind { return TransportTCP }
-
-func (t *tcpTransport) acceptLoop() {
-	for {
-		conn, err := t.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		go t.serveConn(conn)
+// serve is the server half: a missing node, or a dead node for a call, is
+// gone; a frame dispatch cannot serve drops the connection.
+func (t *tcpTransport) serve(r *wire.Request) (resp wire.Msg, gone, drop bool) {
+	target := t.m.NodeAt(r.To.Addr)
+	live := target != nil && target.id.Equal(r.To.ID)
+	if live && r.Call {
+		target.mu.Lock()
+		live = target.state != stateDead
+		target.mu.Unlock()
 	}
-}
-
-// serveConn handles one client connection for its lifetime.
-func (t *tcpTransport) serveConn(conn net.Conn) {
-	defer conn.Close()
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
-	var frame, out []byte
-	for {
-		kind, err := br.ReadByte()
-		if err != nil {
-			return
-		}
-		toAddr, err := binary.ReadVarint(br)
-		if err != nil {
-			return
-		}
-		toID, err := readWireID(br)
-		if err != nil {
-			return
-		}
-		respType, err := br.ReadByte()
-		if err != nil {
-			return
-		}
-		frame, err = wire.ReadFrame(br, frame)
-		if err != nil {
-			return
-		}
-		req, _, err := wire.DecodeFrame(frame)
-		if err != nil {
-			return
-		}
-		// Fail closed: a frame dispatch cannot serve drops the connection.
-		want, handled := dispatchResp(req)
-		if !handled || want != 0 && (kind != 0 || wire.Type(respType) != want) {
-			return
-		}
-		target := t.m.NodeAt(netsim.Addr(toAddr))
-		ok := target != nil && target.id.Equal(toID)
-		if ok && kind == 0 {
-			target.mu.Lock()
-			ok = target.state != stateDead
-			target.mu.Unlock()
-		}
-		if !ok {
-			if err := bw.WriteByte(1); err != nil {
-				return
-			}
-			if err := bw.Flush(); err != nil {
-				return
-			}
-			continue
-		}
-		if kind == 0 {
-			resp := wire.New(wire.Type(respType))
-			if resp == nil {
-				return
-			}
-			// A *netsim.Cost cannot cross a socket: peer-side work runs
-			// uncharged here (see the file comment).
-			target.dispatch(req, resp, nil)
-			if err := bw.WriteByte(0); err != nil {
-				return
-			}
-			out, err = wire.WriteMsg(bw, out, resp)
-			if err != nil {
-				return
-			}
-		} else {
-			target.dispatch(req, nil, nil)
-			if err := bw.WriteByte(0); err != nil {
-				return
-			}
-		}
-		if err := bw.Flush(); err != nil {
-			return
+	if !live {
+		return nil, true, false
+	}
+	if r.Call {
+		if resp = wire.New(r.RespType); resp == nil {
+			return nil, false, true
 		}
 	}
-}
-
-// readWireID reads the codec's ID shape (u8 count + digits) from a stream.
-func readWireID(br *bufio.Reader) (ids.ID, error) {
-	n, err := br.ReadByte()
-	if err != nil {
-		return ids.ID{}, err
+	// A *netsim.Cost cannot cross a socket: peer-side work runs uncharged
+	// here (see the file comment).
+	if err := target.dispatch(r.Msg, resp, nil); err != nil {
+		return nil, false, true
 	}
-	if n > 64 {
-		return ids.ID{}, fmt.Errorf("core: tcp header id length %d", n)
-	}
-	buf := make([]ids.Digit, n)
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return ids.ID{}, err
-	}
-	return ids.FromDigits(buf), nil
-}
-
-func (t *tcpTransport) getConn() (net.Conn, error) {
-	select {
-	case c := <-t.conns:
-		return c, nil
-	default:
-		return net.Dial("tcp", t.ln.Addr().String())
-	}
-}
-
-func (t *tcpTransport) putConn(c net.Conn) {
-	if t.closed.Load() {
-		c.Close()
-		return
-	}
-	select {
-	case t.conns <- c:
-	default:
-		c.Close()
-	}
-}
-
-// exchange performs one header+frame request and reads the status byte,
-// returning an open connection positioned before any response frame.
-func (t *tcpTransport) exchange(kind byte, to route.Entry, respType wire.Type, req wire.Msg) (net.Conn, byte, error) {
-	conn, err := t.getConn()
-	if err != nil {
-		return nil, 0, err
-	}
-	var e wire.Enc
-	e.U8(kind)
-	e.Int(int(to.Addr))
-	e.ID(to.ID)
-	e.U8(byte(respType))
-	buf := wire.AppendFrame(e.Bytes(), req)
-	if _, err := conn.Write(buf); err != nil {
-		conn.Close()
-		return nil, 0, err
-	}
-	var status [1]byte
-	if _, err := io.ReadFull(conn, status[:]); err != nil {
-		conn.Close()
-		return nil, 0, err
-	}
-	return conn, status[0], nil
+	return resp, false, false
 }
 
 func (t *tcpTransport) Invoke(from netsim.Addr, to route.Entry, req, resp wire.Msg, cost *netsim.Cost, hop bool) (*Node, error) {
 	if err := t.m.net.Send(from, to.Addr, cost, hop); err != nil {
 		return nil, &PeerError{To: to, Err: err}
 	}
-	conn, status, err := t.exchange(0, to, resp.WireType(), req)
-	if err != nil {
-		return nil, &PeerError{To: to, Err: err}
+	if err := t.client.Call(to, req, resp); err != nil {
+		return nil, peerError(to, err)
 	}
-	if status != 0 {
-		t.putConn(conn)
-		return nil, &PeerError{To: to, Err: errDead}
-	}
-	frame, err := wire.ReadFrame(conn, nil)
-	if err != nil {
-		conn.Close()
-		return nil, &PeerError{To: to, Err: err}
-	}
-	if _, err := wire.DecodeFrameInto(frame, resp); err != nil {
-		conn.Close()
-		return nil, &PeerError{To: to, Err: err}
-	}
-	t.putConn(conn)
 	// Response leg, charged exactly where the direct path charges it: only
 	// after the peer proved live.
 	_ = t.m.net.Send(to.Addr, from, cost, false)
-	target := t.m.NodeAt(to.Addr)
-	if target == nil || !target.id.Equal(to.ID) {
-		return nil, &PeerError{To: to, Err: errDead}
-	}
-	return target, nil
+	return t.resolve(to)
 }
 
 func (t *tcpTransport) OneWay(from netsim.Addr, to route.Entry, msg wire.Msg, cost *netsim.Cost) (*Node, error) {
 	if err := t.m.net.Send(from, to.Addr, cost, false); err != nil {
 		return nil, &PeerError{To: to, Err: err}
 	}
-	conn, status, err := t.exchange(1, to, 0, msg)
-	if err != nil {
-		return nil, &PeerError{To: to, Err: err}
+	if err := t.client.Call(to, msg, nil); err != nil {
+		return nil, peerError(to, err)
 	}
-	t.putConn(conn)
-	if status != 0 {
-		return nil, &PeerError{To: to, Err: errDead}
+	return t.resolve(to)
+}
+
+// peerError maps a failed exchange onto the transports' one error: a gone
+// reply is a departed node, anything else a socket failure.
+func peerError(to route.Entry, err error) error {
+	if errors.Is(err, wire.ErrGone) {
+		err = errDead
 	}
+	return &PeerError{To: to, Err: err}
+}
+
+// resolve returns the live node the delivered entry names.
+func (t *tcpTransport) resolve(to route.Entry) (*Node, error) {
 	target := t.m.NodeAt(to.Addr)
 	if target == nil || !target.id.Equal(to.ID) {
 		return nil, &PeerError{To: to, Err: errDead}
@@ -644,12 +508,6 @@ func (t *tcpTransport) Close() error {
 		return nil
 	}
 	err := t.ln.Close()
-	for {
-		select {
-		case c := <-t.conns:
-			c.Close()
-		default:
-			return err
-		}
-	}
+	t.client.Close()
+	return err
 }

@@ -2,12 +2,10 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"math/rand"
 	"net"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -279,40 +277,89 @@ func TestTCPServerFailsClosed(t *testing.T) {
 	}
 }
 
-// TestDispatchRespMatchesDispatch pins the TCP server's frame check to
-// dispatch itself: every wire type dispatch handles is reported handled,
-// with the response type its handler fills, and every type dispatch has no
-// handler for is reported unhandled.
-func TestDispatchRespMatchesDispatch(t *testing.T) {
+// TestDispatchReportsUnservable sweeps every wire type as a request, sent as
+// a one-way and as a call expecting each response type. dispatch must report
+// every combination it cannot serve instead of panicking, and must do so
+// before touching the node: on a zero Node, a combination it accepts gets
+// past the check and may only then trip over the empty node. Each request
+// type must take one of three shapes — no handler (every combination
+// reported), an untyped handler (nothing reported) or a typed handler
+// (exactly one response type accepted, one-ways reported). The TCP server
+// must drop the connection on every combination dispatch reports.
+func TestDispatchReportsUnservable(t *testing.T) {
+	var types []wire.Type
 	for ty := 0; ty < 256; ty++ {
-		req := wire.New(wire.Type(ty))
-		if req == nil {
-			continue
+		if wire.New(wire.Type(ty)) != nil {
+			types = append(types, wire.Type(ty))
 		}
-		// A fresh mesh per type: a handler that panics on zero-valued
-		// content may leave its node locked.
-		_, nodes := buildMeshTransport(t, 4, 3, TransportDirect)
-		want, handled := dispatchResp(req)
-		resp := wire.Msg(&wire.Ack{})
-		if want != 0 {
-			resp = wire.New(want)
-		}
-		noHandler := func() (none bool) {
-			defer func() {
-				// Zero-valued requests may trip over their own content; only
-				// a missing handler or a mistyped response matters here.
-				if r := recover(); r != nil {
-					if _, mistyped := r.(*runtime.TypeAssertionError); mistyped {
-						t.Errorf("%T: dispatch fills a response other than %v", req, want)
-					}
-					none = strings.HasPrefix(fmt.Sprint(r), "core: no dispatch handler")
+	}
+	report := func(req, resp wire.Msg) (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				if _, mistyped := r.(*runtime.TypeAssertionError); mistyped {
+					t.Errorf("%T with %T: dispatch panicked on a mistyped response: %v", req, resp, r)
 				}
-			}()
-			nodes[0].dispatch(req, resp, nil)
-			return false
+				err = nil // past the check: the zero node is not servable
+			}
 		}()
-		if handled == noHandler {
-			t.Errorf("%T: dispatchResp reports handled=%v, dispatch disagrees", req, handled)
+		return (&Node{}).dispatch(req, resp, nil)
+	}
+	type combo struct {
+		req  wire.Type
+		resp wire.Type // 0 with oneWay
+		one  bool
+	}
+	var rejected []combo
+	handled, typed := 0, 0
+	for _, rq := range types {
+		var accepted []wire.Type
+		oneWayOK := report(wire.New(rq), nil) == nil
+		if !oneWayOK {
+			rejected = append(rejected, combo{req: rq, one: true})
 		}
+		for _, rs := range types {
+			if err := report(wire.New(rq), wire.New(rs)); err != nil {
+				if !errors.Is(err, errUnservable) {
+					t.Errorf("%v with %v: report %v is not errUnservable", rq, rs, err)
+				}
+				rejected = append(rejected, combo{req: rq, resp: rs})
+				continue
+			}
+			accepted = append(accepted, rs)
+		}
+		switch {
+		case !oneWayOK && len(accepted) == 0:
+		case oneWayOK && len(accepted) == len(types):
+			handled++
+		case !oneWayOK && len(accepted) == 1:
+			handled++
+			typed++
+		default:
+			t.Errorf("%v: one-way accepted %v, response types accepted %v: no handler shape", rq, oneWayOK, accepted)
+		}
+	}
+	if handled == 0 || typed == 0 {
+		t.Fatalf("dispatch handles %d types, %d typed: sweep is vacuous", handled, typed)
+	}
+
+	t.Logf("%d types, %d handled (%d typed), %d rejected combinations", len(types), handled, typed, len(rejected))
+	m, nodes := buildMeshTransport(t, 8, 5, TransportTCP)
+	target := nodes[3]
+	for _, c := range rejected {
+		kind := byte(0)
+		if c.one {
+			kind = 1
+		}
+		if status, err := rawTCPExchange(t, m, kind, target, c.resp, wire.New(c.req)); err == nil {
+			t.Errorf("%v (one-way %v, response %v): reported by dispatch, answered %d by the TCP server",
+				c.req, c.one, c.resp, status)
+		}
+	}
+	guid := testSpec.Hash("after-unservable-sweep")
+	if err := nodes[0].Publish(guid, nil); err != nil {
+		t.Fatal(err)
+	}
+	if res := nodes[6].Locate(guid, nil); !res.Found {
+		t.Fatal("mesh stopped serving after the unservable sweep")
 	}
 }

@@ -7,6 +7,13 @@
 // surrogate routing, exactly the prefix-by-prefix descent of internal/core
 // but with every hop a real socket exchange.
 //
+// Every exchange runs on internal/wire's socket layer, the one core's TCP
+// transport uses: requests travel in an envelope that names the node they
+// are for, and each peer daemon is reached through one pooled client built
+// from the endpoint book. A daemon answers "gone" to a request addressed to
+// any node but the one it hosts, so a stale endpoint book cannot deliver a
+// hop to the wrong node.
+//
 // The daemon deliberately reuses the single-process building blocks rather
 // than reimplementing them: identifiers and surrogate order from
 // internal/ids, the CSR routing table from internal/route (route.New inserts
@@ -20,19 +27,11 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"time"
 
 	"tapestry/internal/ids"
 	"tapestry/internal/netsim"
 	"tapestry/internal/route"
 	"tapestry/internal/wire"
-)
-
-// dialTimeout and exchangeTimeout bound a forwarded hop; a locate that spans
-// d hops holds d nested exchanges, so the budget is generous.
-const (
-	dialTimeout     = 5 * time.Second
-	exchangeTimeout = 60 * time.Second
 )
 
 // pointer is one deposited object pointer: the GUID's storage server.
@@ -47,58 +46,52 @@ type Node struct {
 	mu     sync.Mutex
 	self   route.Entry
 	table  *route.Table
-	eps    map[netsim.Addr]string // overlay address -> daemon host:port
-	served map[ids.ID]struct{}    // GUIDs stored at this node
-	ptrs   map[ids.ID]pointer     // GUID -> pointer toward its server
+	peers  map[netsim.Addr]*wire.Client // overlay address -> its daemon
+	served map[ids.ID]struct{}          // GUIDs stored at this node
+	ptrs   map[ids.ID]pointer           // GUID -> pointer toward its server
 }
 
 // New returns an empty daemon node awaiting a ClusterInstall.
 func New() *Node {
 	return &Node{
-		eps:    make(map[netsim.Addr]string),
 		served: make(map[ids.ID]struct{}),
 		ptrs:   make(map[ids.ID]pointer),
 	}
 }
 
-// Serve accepts connections until the listener closes. Each connection
-// carries a sequence of framed request/response pairs; connections are
-// independent, so the harness and forwarding peers may overlap freely.
+// Serve answers requests until the listener closes, then releases the
+// node's peer clients. Connections are independent, so the harness and
+// forwarding peers may overlap freely.
 func (n *Node) Serve(ln net.Listener) error {
-	for {
-		c, err := ln.Accept()
-		if err != nil {
-			return err
-		}
-		go n.serveConn(c)
-	}
+	defer n.closePeers()
+	return wire.Serve(ln, n.serve)
 }
 
-func (n *Node) serveConn(c net.Conn) {
-	defer c.Close()
-	var rbuf, wbuf []byte
-	for {
-		frame, err := wire.ReadFrame(c, rbuf)
-		rbuf = frame
-		if err != nil {
-			return
-		}
-		req, _, err := wire.DecodeFrame(frame)
-		if err != nil {
-			return
-		}
-		resp := n.handle(req)
-		if resp == nil {
-			return // not a cluster request: drop the connection
-		}
-		if wbuf, err = wire.WriteMsg(c, wbuf, resp); err != nil {
-			return
-		}
+// serve is the wire handler: a request addressed to any node but this one
+// is answered gone, and one handle refuses drops the connection.
+func (n *Node) serve(r *wire.Request) (resp wire.Msg, gone, drop bool) {
+	if !n.addressed(r) {
+		return nil, true, false
 	}
+	resp = n.handle(r.Msg)
+	return resp, false, resp == nil
 }
+
+// addressed reports whether r is for this node: an install must name the
+// identity it installs, and every other request the installed one.
+func (n *Node) addressed(r *wire.Request) bool {
+	if inst, ok := r.Msg.(*wire.ClusterInstall); ok {
+		return sameNode(inst.Self, r.To)
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.table != nil && sameNode(n.self, r.To)
+}
+
+func sameNode(a, b route.Entry) bool { return a.Addr == b.Addr && a.ID.Equal(b.ID) }
 
 // handle dispatches one request and returns its reply. A nil reply is a
-// protocol error, on which serveConn drops the connection: a frame that is
+// protocol error, on which the server drops the connection: a frame that is
 // not a cluster request, an install describing a table the daemon cannot
 // hold, or a publish or locate that is malformed or arrives before any
 // install. One bad frame must never take the daemon down.
@@ -172,20 +165,38 @@ func wellFormed(spec ids.Spec, id ids.ID) bool {
 	return true
 }
 
-// install provisions identity, routing table and the cluster address book.
+// install provisions identity, routing table and the cluster address book,
+// one client per endpoint; a re-install closes the previous book's clients.
 func (n *Node) install(m *wire.ClusterInstall) {
 	spec := ids.Spec{Base: m.Base, Digits: m.Digits}
 	t := route.New(spec, m.Self.ID, m.Self.Addr, m.R)
 	for _, r := range m.Rows {
 		t.Add(r.Level, r.E)
 	}
+	peers := make(map[netsim.Addr]*wire.Client, len(m.Endpoints))
+	for _, ep := range m.Endpoints {
+		peers[ep.Addr] = wire.NewClient(ep.HostPort) // dials on first use
+	}
 	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.self = m.Self
 	n.table = t
-	clear(n.eps)
-	for _, ep := range m.Endpoints {
-		n.eps[ep.Addr] = ep.HostPort
+	n.peers, peers = peers, n.peers
+	n.mu.Unlock()
+	closeAll(peers)
+}
+
+// closePeers releases the clients of the installed endpoint book.
+func (n *Node) closePeers() {
+	n.mu.Lock()
+	peers := n.peers
+	n.peers = nil
+	n.mu.Unlock()
+	closeAll(peers)
+}
+
+func closeAll(peers map[netsim.Addr]*wire.Client) {
+	for _, c := range peers {
+		c.Close()
 	}
 }
 
@@ -237,8 +248,8 @@ func (n *Node) publish(m *wire.ClusterPublish) wire.Msg {
 	}
 	fwd := *m
 	fwd.Level = level
-	resp, err := n.exchange(next.Addr, &fwd, wire.TClusterPubDone)
-	if err != nil {
+	resp := &wire.ClusterPubDone{}
+	if err := n.forward(next, &fwd, resp); err != nil {
 		return &wire.ClusterPubDone{}
 	}
 	return resp
@@ -270,43 +281,21 @@ func (n *Node) locate(m *wire.ClusterLocate) wire.Msg {
 	}
 	fwd := *m
 	fwd.Level, fwd.Hops = level, m.Hops+1
-	resp, err := n.exchange(next.Addr, &fwd, wire.TClusterFound)
-	if err != nil {
+	resp := &wire.ClusterFound{}
+	if err := n.forward(next, &fwd, resp); err != nil {
 		return &wire.ClusterFound{}
 	}
 	return resp
 }
 
-// exchange performs one request/response round trip with the daemon hosting
-// the given overlay address. Connections are per-exchange: walks are short
-// and the kernel's loopback handshake is cheap, so a conn pool would buy
-// little for an example-scale cluster.
-func (n *Node) exchange(to netsim.Addr, req wire.Msg, want wire.Type) (wire.Msg, error) {
+// forward sends one walk hop to the node `to` through the client of the
+// daemon hosting its overlay address.
+func (n *Node) forward(to route.Entry, req, resp wire.Msg) error {
 	n.mu.Lock()
-	hp, ok := n.eps[to]
+	c := n.peers[to.Addr]
 	n.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("procnode: no endpoint for overlay address %d", to)
+	if c == nil {
+		return fmt.Errorf("procnode: no endpoint for overlay address %d", to.Addr)
 	}
-	c, err := net.DialTimeout("tcp", hp, dialTimeout)
-	if err != nil {
-		return nil, err
-	}
-	defer c.Close()
-	_ = c.SetDeadline(time.Now().Add(exchangeTimeout))
-	if _, err := wire.WriteMsg(c, nil, req); err != nil {
-		return nil, err
-	}
-	frame, err := wire.ReadFrame(c, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, _, err := wire.DecodeFrame(frame)
-	if err != nil {
-		return nil, err
-	}
-	if resp.WireType() != want {
-		return nil, fmt.Errorf("procnode: reply type %v, want %v", resp.WireType(), want)
-	}
-	return resp, nil
+	return c.Call(to, req, resp)
 }

@@ -1,11 +1,11 @@
 package procnode
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
 	"testing"
-	"time"
 
 	"tapestry/internal/core"
 	"tapestry/internal/ids"
@@ -116,26 +116,23 @@ func serveDaemon(t *testing.T) string {
 	return ln.Addr().String()
 }
 
-// call sends one request on a fresh connection and returns the reply, or
-// nil if the daemon dropped the connection instead.
-func call(t *testing.T, hp string, req wire.Msg) wire.Msg {
+// call sends one request addressed to node `to` on a fresh client and
+// returns the reply, or nil if the daemon dropped the connection instead.
+func call(t *testing.T, hp string, to route.Entry, req wire.Msg) wire.Msg {
 	t.Helper()
-	c, err := net.DialTimeout("tcp", hp, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := wire.NewClient(hp)
 	defer c.Close()
-	_ = c.SetDeadline(time.Now().Add(30 * time.Second))
-	if _, err := wire.WriteMsg(c, nil, req); err != nil {
-		t.Fatal(err)
+	var resp wire.Msg
+	switch req.(type) {
+	case *wire.ClusterPublish:
+		resp = &wire.ClusterPubDone{}
+	case *wire.ClusterLocate:
+		resp = &wire.ClusterFound{}
+	default:
+		resp = &wire.ClusterAck{}
 	}
-	frame, err := wire.ReadFrame(c, nil)
-	if err != nil {
+	if err := c.Call(to, req, resp); err != nil {
 		return nil
-	}
-	resp, _, err := wire.DecodeFrame(frame)
-	if err != nil {
-		t.Fatal(err)
 	}
 	return resp
 }
@@ -145,20 +142,21 @@ func call(t *testing.T, hp string, req wire.Msg) wire.Msg {
 // requests.
 func TestServeConnDropsBadFrame(t *testing.T) {
 	hp := serveDaemon(t)
+	self := unitInstall().Self
 	bad := unitInstall()
 	bad.R = 0
-	if resp := call(t, hp, bad); resp != nil {
+	if resp := call(t, hp, self, bad); resp != nil {
 		t.Errorf("R=0 install answered %T", resp)
 	}
-	if resp := call(t, hp, unitInstall()); resp == nil {
+	if resp := call(t, hp, self, unitInstall()); resp == nil {
 		t.Fatal("daemon stopped answering after a bad install")
 	}
 	short := &wire.ClusterLocate{GUID: ids.FromDigits([]ids.Digit{1}), Key: ids.FromDigits([]ids.Digit{1})}
-	if resp := call(t, hp, short); resp != nil {
+	if resp := call(t, hp, self, short); resp != nil {
 		t.Errorf("short-key locate answered %T", resp)
 	}
 	guid := unitSpec.Make([]ids.Digit{1, 2, 3})
-	resp := call(t, hp, &wire.ClusterLocate{GUID: guid, Key: guid})
+	resp := call(t, hp, self, &wire.ClusterLocate{GUID: guid, Key: guid})
 	if _, ok := resp.(*wire.ClusterFound); !ok {
 		t.Fatalf("well-formed locate after a bad one answered %T", resp)
 	}
@@ -235,13 +233,13 @@ func TestInProcessCluster(t *testing.T) {
 	for i, on := range overlay {
 		inst := &wire.ClusterInstall{
 			Base: spec.Base, Digits: spec.Digits, R: cfg.R,
-			Self:      route.Entry{ID: on.ID(), Addr: on.Addr()},
+			Self:      entryOf(on),
 			Endpoints: eps,
 		}
 		on.Table().ForEachNeighbor(func(l int, e route.Entry) {
 			inst.Rows = append(inst.Rows, wire.LeveledEntry{Level: l, E: e})
 		})
-		if _, ok := call(t, hps[i], inst).(*wire.ClusterAck); !ok {
+		if _, ok := call(t, hps[i], inst.Self, inst).(*wire.ClusterAck); !ok {
 			t.Fatalf("install %d rejected", i)
 		}
 	}
@@ -250,10 +248,10 @@ func TestInProcessCluster(t *testing.T) {
 	for j := range guids {
 		guids[j] = spec.Hash(fmt.Sprintf("cluster-object-%d", j))
 		s := j % nodes
-		if _, ok := call(t, hps[s], &wire.ClusterServe{GUIDs: guids[j : j+1]}).(*wire.ClusterAck); !ok {
+		if _, ok := call(t, hps[s], entryOf(overlay[s]), &wire.ClusterServe{GUIDs: guids[j : j+1]}).(*wire.ClusterAck); !ok {
 			t.Fatalf("serve %d rejected", j)
 		}
-		resp, ok := call(t, hps[s], &wire.ClusterPublish{
+		resp, ok := call(t, hps[s], entryOf(overlay[s]), &wire.ClusterPublish{
 			GUID: guids[j], Key: guids[j], Server: overlay[s].ID(), ServerAddr: overlay[s].Addr(),
 		}).(*wire.ClusterPubDone)
 		if !ok {
@@ -269,7 +267,7 @@ func TestInProcessCluster(t *testing.T) {
 	}
 	for q := 0; q < queries; q++ {
 		j, c := rng.Intn(objects), rng.Intn(nodes)
-		f, ok := call(t, hps[c], &wire.ClusterLocate{GUID: guids[j], Key: guids[j]}).(*wire.ClusterFound)
+		f, ok := call(t, hps[c], entryOf(overlay[c]), &wire.ClusterLocate{GUID: guids[j], Key: guids[j]}).(*wire.ClusterFound)
 		if !ok {
 			t.Fatalf("locate %d: no reply", q)
 		}
@@ -277,5 +275,39 @@ func TestInProcessCluster(t *testing.T) {
 			t.Errorf("locate %d of object %d from %d: found=%v server %v@%d, want %v@%d",
 				q, j, c, f.Found, f.Server, f.ServerAddr, want.ID(), want.Addr())
 		}
+	}
+}
+
+func entryOf(n *core.Node) route.Entry { return route.Entry{ID: n.ID(), Addr: n.Addr()} }
+
+// TestServeAnswersMisaddressedGone sends requests addressed to nodes the
+// daemon does not host — an install naming another identity, and a locate
+// for another ID or another address than the installed one. Each is
+// answered gone, not acted on, and the daemon keeps serving its own node on
+// the same connection.
+func TestServeAnswersMisaddressedGone(t *testing.T) {
+	hp := serveDaemon(t)
+	c := wire.NewClient(hp)
+	defer c.Close()
+	self := unitInstall().Self
+	other := route.Entry{ID: unitSpec.Make([]ids.Digit{3, 0, 0}), Addr: 2}
+	if err := c.Call(other, unitInstall(), &wire.ClusterAck{}); !errors.Is(err, wire.ErrGone) {
+		t.Fatalf("install addressed to another node: err %v, want ErrGone", err)
+	}
+	if err := c.Call(self, unitInstall(), &wire.ClusterAck{}); err != nil {
+		t.Fatalf("install addressed to its own self: %v", err)
+	}
+	guid := unitSpec.Make([]ids.Digit{1, 2, 3})
+	for _, to := range []route.Entry{other, {ID: self.ID, Addr: other.Addr}} {
+		if err := c.Call(to, &wire.ClusterServe{GUIDs: []ids.ID{guid}}, &wire.ClusterAck{}); !errors.Is(err, wire.ErrGone) {
+			t.Errorf("serve addressed to %v@%d: err %v, want ErrGone", to.ID, to.Addr, err)
+		}
+	}
+	f := &wire.ClusterFound{}
+	if err := c.Call(self, &wire.ClusterLocate{GUID: guid, Key: guid}, f); err != nil {
+		t.Fatalf("locate addressed to the installed self after gone replies: %v", err)
+	}
+	if f.Found {
+		t.Error("a serve answered gone still registered its GUID")
 	}
 }
