@@ -68,3 +68,39 @@ func TestCloseTCPTeardown(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 }
+
+// TestCloseStaticTCPReleasesReplacedMesh pins that a static bulk Grow on a
+// TCP-backed network closes the empty mesh it replaces: after Close, no
+// listener of either mesh keeps a goroutine alive.
+func TestCloseStaticTCPReleasesReplacedMesh(t *testing.T) {
+	before := runtime.NumGoroutine()
+
+	cfg := Defaults()
+	cfg.Transport = TransportTCP
+	cfg.StaticBuild = true
+	nw, err := New(RingSpace(64), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes, err := nw.Grow(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nodes[0].Publish("static-teardown"); err != nil {
+		t.Fatalf("Publish: %v", err)
+	}
+	if err := nw.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		after := runtime.NumGoroutine()
+		if after <= before {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked after Close: %d before, %d after", before, after)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}

@@ -37,12 +37,10 @@ func main() {
 	transport := flag.String("transport", "", "message transport backend: direct | loopback | tcp (default: $TAPESTRY_TRANSPORT, then direct)")
 	flag.Parse()
 
-	if *transport != "" {
-		if _, err := tapestry.ParseTransport(*transport); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		os.Setenv("TAPESTRY_TRANSPORT", *transport)
+	tr, err := tapestry.ParseTransport(*transport)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 
 	var space tapestry.Space
@@ -87,15 +85,22 @@ func main() {
 	cfg.PRRRouting = *prr
 	cfg.LocateCacheCap = *cacheCap
 	cfg.Seed = *seed
+	cfg.Transport = tr
 	nw, err := tapestry.NewProtocol(space, proto, cfg)
 	if err != nil {
+		fail(err)
+	}
+	// die releases the network (a TCP listener and its connections) before
+	// exiting on an error.
+	die := func(err error) {
+		nw.Close()
 		fail(err)
 	}
 
 	fmt.Printf("growing %d %s nodes on %s (caps: %s) ...\n", *n, proto, space.Name(), nw.Caps())
 	nodes, err := nw.Grow(*n)
 	if err != nil {
-		fail(err)
+		die(err)
 	}
 	fmt.Printf("  %s\n", nw.Stats())
 
@@ -105,7 +110,7 @@ func main() {
 		names[i] = fmt.Sprintf("object-%04d", i)
 		for rep := 0; rep < *replicas; rep++ {
 			if _, err := nodes[rng.Intn(len(nodes))].Publish(names[i]); err != nil {
-				fail(err)
+				die(err)
 			}
 		}
 	}
@@ -119,7 +124,7 @@ func main() {
 					declined++
 					continue
 				}
-				fail(err)
+				die(err)
 			}
 		} else {
 			all := nw.Nodes()
@@ -155,12 +160,15 @@ func main() {
 		}
 	}
 	if found == 0 {
-		fail(fmt.Errorf("no queries succeeded"))
+		die(fmt.Errorf("no queries succeeded"))
 	}
 	fmt.Printf("queries: %d/%d found | mean hops %.2f | mean msgs %.1f | mean distance %.1f\n",
 		found, *queries, hops/float64(found), msgs/float64(found), dist/float64(found))
 	fmt.Printf("final: %s\n", nw.Stats())
 	fmt.Printf("total network messages: %d\n", nw.TotalMessages())
+	if err := nw.Close(); err != nil {
+		fail(err)
+	}
 }
 
 func fail(err error) {

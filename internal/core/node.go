@@ -357,11 +357,13 @@ func NewMesh(net *netsim.Network, cfg Config) (*Mesh, error) {
 func (m *Mesh) Transport() Transport { return m.tr }
 
 // Close releases transport resources (the TCP backend's listener and
-// connection pool). The mesh itself remains usable only with the in-memory
-// backends; Close is idempotent.
+// connection pool) and returns once the TCP server's goroutines have
+// exited. The mesh itself remains usable only with the in-memory backends;
+// Close is idempotent.
 func (m *Mesh) Close() error { return m.tr.Close() }
 
-// Config returns the mesh configuration.
+// Config returns the mesh configuration with its defaults applied — the
+// values in effect.
 func (m *Mesh) Config() Config { return m.cfg }
 
 // Net returns the underlying simulated network.

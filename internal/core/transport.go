@@ -218,9 +218,10 @@ func newTransport(m *Mesh, k TransportKind) (Transport, error) {
 	}
 }
 
-// errUnservable reports a request dispatch has no handler for, or a typed
-// request whose response is missing or of another type. In-process senders
-// never build one; the TCP server drops the connection on it.
+// errUnservable reports a request dispatch has no handler for, a typed
+// request whose response is missing or of another type, or a request with a
+// field outside the target's spec or space. In-process senders never build
+// one; the TCP server drops the connection on it.
 var errUnservable = errors.New("core: request cannot be dispatched")
 
 // dispatch applies req's peer-side effect at the target node, filling resp
@@ -229,7 +230,9 @@ var errUnservable = errors.New("core: request cannot be dispatched")
 // point where the pre-transport code performed these mutations inline at the
 // call site. cost is the operation's meter on direct/loopback and nil on the
 // TCP server side. A request it cannot serve is reported before any lock is
-// taken or any state changes.
+// taken or any state changes: first a missing or mistyped response, then any
+// level, digit, floor, ID or address that would index past the target's
+// routing table or the simulated space.
 func (target *Node) dispatch(req, resp wire.Msg, cost *netsim.Cost) error {
 	switch q := req.(type) {
 	case *wire.Ping, *wire.Ack, *wire.ReacquireReq,
@@ -239,7 +242,7 @@ func (target *Node) dispatch(req, resp wire.Msg, cost *netsim.Cost) error {
 		// driving walk loop in-process (see the file comment).
 	case *wire.MatchQueryReq:
 		r, ok := resp.(*wire.MatchQueryResp)
-		if !ok {
+		if !ok || !target.validSlot(q.Level, q.Digit) || !target.validID(q.Origin) {
 			return unservable(req, resp)
 		}
 		r.Entries = r.Entries[:0]
@@ -250,7 +253,7 @@ func (target *Node) dispatch(req, resp wire.Msg, cost *netsim.Cost) error {
 		target.mu.Unlock()
 	case *wire.TableBandReq:
 		r, ok := resp.(*wire.TableBandResp)
-		if !ok {
+		if !ok || q.Floor < 0 || q.Floor > target.mesh.cfg.Spec.Digits {
 			return unservable(req, resp)
 		}
 		r.Entries = r.Entries[:0]
@@ -268,43 +271,69 @@ func (target *Node) dispatch(req, resp wire.Msg, cost *netsim.Cost) error {
 		target.mu.Unlock()
 	case *wire.ShareReq:
 		r, ok := resp.(*wire.ShareResp)
-		if !ok {
+		if !ok || !target.validEntries(q.Entries) {
 			return unservable(req, resp)
 		}
 		r.Adopted = target.considerEntries(q.Entries, cost)
 	case *wire.VerifyReq:
 		r, ok := resp.(*wire.VerifyResp)
-		if !ok {
+		if !ok || !target.validID(q.GUID) {
 			return unservable(req, resp)
 		}
 		target.mu.Lock()
 		r.Serves = target.published[q.GUID]
 		target.mu.Unlock()
 	case *wire.PublishReq:
+		if !target.validID(q.GUID) {
+			return unservable(req, resp)
+		}
 		target.handlePublishReq(q, cost)
 	case *wire.JoinSnapshotReq:
 		r, ok := resp.(*wire.JoinSnapshotResp)
-		if !ok {
+		if !ok || !target.validLevel(q.PinLevel) || !target.validEntry(route.Entry{ID: q.NewID, Addr: q.NewAddr}) {
 			return unservable(req, resp)
 		}
 		target.joinSnapshot(q, r, cost)
 	case *wire.BackAdd:
+		if !target.validLevel(q.Level) || !target.validEntry(q.From) {
+			return unservable(req, resp)
+		}
 		target.mu.Lock()
 		target.table.AddBack(q.Level, q.From)
 		target.mu.Unlock()
 	case *wire.BackRemove:
+		if !target.validLevel(q.Level) || !target.validID(q.ID) {
+			return unservable(req, resp)
+		}
 		target.mu.Lock()
 		target.table.RemoveBack(q.Level, q.ID)
 		target.mu.Unlock()
 	case *wire.McastNotify:
+		if !target.validEntry(q.Me) {
+			return unservable(req, resp)
+		}
+		for _, s := range q.Slots {
+			if !target.validSlot(s.Level, s.Digit) {
+				return unservable(req, resp)
+			}
+		}
 		for _, s := range q.Slots {
 			target.addNeighborAndNotify(s.Level, q.Me, cost)
 		}
 	case *wire.LeaveNotify:
+		if !target.validLevel(q.Level) || !target.validID(q.Leaver) || !target.validEntries(q.Replacements) {
+			return unservable(req, resp)
+		}
 		target.onPeerLeaving(q.Leaver, q.Level, q.Replacements, cost)
 	case *wire.NodeDeleted:
+		if !target.validID(q.ID) {
+			return unservable(req, resp)
+		}
 		target.onPeerDeleted(q.ID, cost)
 	case *wire.DropLinks:
+		if !target.validID(q.ID) {
+			return unservable(req, resp)
+		}
 		target.mu.Lock()
 		target.table.Remove(q.ID)
 		target.mu.Unlock()
@@ -316,6 +345,32 @@ func (target *Node) dispatch(req, resp wire.Msg, cost *netsim.Cost) error {
 
 func unservable(req, resp wire.Msg) error {
 	return fmt.Errorf("%w: %T with response %T", errUnservable, req, resp)
+}
+
+// validLevel reports whether l is a routing-table level of n's spec.
+func (n *Node) validLevel(l int) bool { return l >= 0 && l < n.mesh.cfg.Spec.Digits }
+
+// validSlot reports whether (level, digit) names a routing-table slot.
+func (n *Node) validSlot(level int, digit ids.Digit) bool {
+	return n.validLevel(level) && int(digit) < n.mesh.cfg.Spec.Base
+}
+
+// validID reports whether id is in n's namespace.
+func (n *Node) validID(id ids.ID) bool { return n.mesh.cfg.Spec.WellFormed(id) }
+
+// validEntry reports whether e names an ID in n's namespace at an address
+// of the simulated space.
+func (n *Node) validEntry(e route.Entry) bool {
+	return n.validID(e.ID) && e.Addr >= 0 && int(e.Addr) < len(n.mesh.byAddr)
+}
+
+func (n *Node) validEntries(es []route.Entry) bool {
+	for _, e := range es {
+		if !n.validEntry(e) {
+			return false
+		}
+	}
+	return true
 }
 
 // mustDispatch is dispatch for the in-process backends, whose senders never
@@ -420,6 +475,7 @@ type tcpTransport struct {
 	m      *Mesh
 	ln     net.Listener
 	client *wire.Client
+	served chan struct{} // closed once wire.Serve and its connections are done
 	closed atomic.Bool
 }
 
@@ -431,8 +487,11 @@ func newTCPTransport(m *Mesh) (*tcpTransport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: tcp transport listener: %w", err)
 	}
-	t := &tcpTransport{m: m, ln: ln, client: wire.NewClient(ln.Addr().String())}
-	go wire.Serve(ln, t.serve)
+	t := &tcpTransport{m: m, ln: ln, client: wire.NewClient(ln.Addr().String()), served: make(chan struct{})}
+	go func() {
+		_ = wire.Serve(ln, t.serve)
+		close(t.served)
+	}()
 	return t, nil
 }
 
@@ -503,11 +562,14 @@ func (t *tcpTransport) resolve(to route.Entry) (*Node, error) {
 	return target, nil
 }
 
+// Close stops the listener and the client, then waits until the accept loop
+// and every connection goroutine have exited.
 func (t *tcpTransport) Close() error {
 	if t.closed.Swap(true) {
 		return nil
 	}
 	err := t.ln.Close()
 	t.client.Close()
+	<-t.served
 	return err
 }

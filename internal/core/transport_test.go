@@ -238,11 +238,50 @@ func rawTCPExchange(t *testing.T, m *Mesh, kind byte, to *Node, respType wire.Ty
 	return status[0], err
 }
 
+// rawRequest is one request for the TCP server; respType 0 sends a one-way.
+type rawRequest struct {
+	name     string
+	respType wire.Type
+	req      wire.Msg
+}
+
+// outOfRangeRequests lists well-typed requests to target whose fields lie
+// outside its spec or space; peer is a live node's entry. Served, each would
+// index past the routing table or the simulated space and panic the serving
+// goroutine, taking the process down.
+func outOfRangeRequests(target *Node, peer route.Entry) []rawRequest {
+	short := ids.FromDigits([]ids.Digit{target.id.Digit(0)}) // one digit, shares the first
+	// far differs from the target in the last digit only, so it would fill
+	// the target's deepest slot, but sits at an address past the space.
+	digits := make([]ids.Digit, testSpec.Digits)
+	for i := range digits {
+		digits[i] = target.id.Digit(i)
+	}
+	digits[len(digits)-1] = (digits[len(digits)-1] + 1) % ids.Digit(testSpec.Base)
+	far := route.Entry{ID: testSpec.Make(digits), Addr: netsim.Addr(1 << 20)}
+	return []rawRequest{
+		{"BackAdd level past the table", 0, &wire.BackAdd{Level: 99, From: peer}},
+		{"BackRemove level past the table", 0, &wire.BackRemove{Level: 99, ID: peer.ID}},
+		{"MatchQueryReq negative level", wire.TMatchQueryResp, &wire.MatchQueryReq{Origin: peer.ID, Level: -1}},
+		{"MatchQueryReq digit past the base", wire.TMatchQueryResp, &wire.MatchQueryReq{Origin: target.id, Level: 0, Digit: 200}},
+		{"TableBandReq negative floor", wire.TTableBandResp, &wire.TableBandReq{Floor: -1, Fold: -1}},
+		{"JoinSnapshotReq negative pin level", wire.TJoinSnapshotResp, &wire.JoinSnapshotReq{NewID: peer.ID, NewAddr: peer.Addr, PinLevel: -1}},
+		{"LeaveNotify negative level", 0, &wire.LeaveNotify{Leaver: peer.ID, Level: -1, Replacements: []route.Entry{peer}}},
+		{"McastNotify negative slot level", 0, &wire.McastNotify{Me: peer, Slots: []wire.Slot{{Level: -1}}}},
+		{"ShareReq short ID", wire.TShareResp, &wire.ShareReq{Entries: []route.Entry{{ID: short, Addr: peer.Addr}}}},
+		{"ShareReq address past the space", wire.TShareResp, &wire.ShareReq{Entries: []route.Entry{far}}},
+		{"NodeDeleted short ID", 0, &wire.NodeDeleted{ID: short}},
+		{"DropLinks short ID", 0, &wire.DropLinks{ID: short}},
+		{"PublishReq short GUID", wire.TAck, &wire.PublishReq{GUID: short, Adopt: true}},
+	}
+}
+
 // TestTCPServerFailsClosed sends frames dispatch cannot serve straight to a
 // mesh's TCP listener: a typed-response request naming the wrong response
-// type, the same request as a one-way, and request types with no handler.
-// Each must cost only its own connection — never a panic that takes the
-// process down — and the mesh must keep serving afterwards.
+// type, the same request as a one-way, request types with no handler, and
+// well-typed requests with out-of-range fields. Each must cost only its own
+// connection — never a panic that takes the process down — and the mesh
+// must keep serving afterwards.
 func TestTCPServerFailsClosed(t *testing.T) {
 	m, nodes := buildMeshTransport(t, 16, 5, TransportTCP)
 	target := nodes[3]
@@ -266,6 +305,18 @@ func TestTCPServerFailsClosed(t *testing.T) {
 		if status, err := rawTCPExchange(t, m, c.kind, target, c.respType, c.req); err == nil {
 			t.Errorf("%s: answered with status %d, want the connection dropped", c.name, status)
 		}
+	}
+
+	for _, c := range outOfRangeRequests(target, nodes[5].entryFor(target.addr)) {
+		t.Run(c.name, func(t *testing.T) {
+			kind := byte(0)
+			if c.respType == 0 {
+				kind = 1
+			}
+			if status, err := rawTCPExchange(t, m, kind, target, c.respType, c.req); err == nil {
+				t.Errorf("answered with status %d, want the connection dropped", status)
+			}
+		})
 	}
 
 	guid := testSpec.Hash("after-bad-frames")
@@ -362,4 +413,44 @@ func TestDispatchReportsUnservable(t *testing.T) {
 	if res := nodes[6].Locate(guid, nil); !res.Found {
 		t.Fatal("mesh stopped serving after the unservable sweep")
 	}
+}
+
+// FuzzTCPServe feeds arbitrary decoded envelopes through the TCP server's
+// handler on a live 16-node mesh, the way FuzzServe covers the socket layer
+// and FuzzHandle the daemon: whatever the request, addressed node, call kind
+// and response type, the handler answers, reports gone or drops — it never
+// panics the serving goroutine. The mesh persists across inputs, so requests
+// act on whatever state earlier ones left.
+func FuzzTCPServe(f *testing.F) {
+	m, nodes := buildMeshTransport(f, 16, 5, TransportTCP)
+	tr := m.tr.(*tcpTransport)
+	target, peer := nodes[3], nodes[5].entryFor(nodes[3].addr)
+	guid := testSpec.Hash("fuzz-tcp-serve")
+	seeds := []rawRequest{
+		{"", wire.TMatchQueryResp, &wire.MatchQueryReq{Origin: peer.ID, Level: 1, Digit: 2}},
+		{"", wire.TTableBandResp, &wire.TableBandReq{Floor: 0, Fold: -1}},
+		{"", wire.TShareResp, &wire.ShareReq{Entries: []route.Entry{peer}}},
+		{"", wire.TVerifyResp, &wire.VerifyReq{GUID: guid}},
+		{"", wire.TAck, &wire.PublishReq{GUID: guid, Adopt: true, Salts: []int{0}}},
+		{"", wire.TJoinSnapshotResp, &wire.JoinSnapshotReq{NewID: peer.ID, NewAddr: peer.Addr, PinLevel: 1}},
+		{"", 0, &wire.BackAdd{Level: 1, From: peer}},
+		{"", 0, &wire.BackRemove{Level: 1, ID: peer.ID}},
+		{"", 0, &wire.McastNotify{Me: peer, Slots: []wire.Slot{{Level: 0, Digit: peer.ID.Digit(0)}}}},
+		{"", 0, &wire.LeaveNotify{Leaver: peer.ID, Level: 0, Replacements: []route.Entry{peer}}},
+		{"", 0, &wire.NodeDeleted{ID: peer.ID}},
+		{"", 0, &wire.DropLinks{ID: peer.ID}},
+		{"", wire.TAck, &wire.Ping{}},
+	}
+	for _, c := range append(seeds, outOfRangeRequests(target, peer)...) {
+		f.Add(uint8(3), c.respType != 0, uint8(c.respType), wire.AppendFrame(nil, c.req))
+	}
+	f.Fuzz(func(t *testing.T, to uint8, call bool, respType uint8, frame []byte) {
+		msg, n, err := wire.DecodeFrame(frame)
+		if err != nil || n != len(frame) {
+			return
+		}
+		dst := nodes[int(to)%len(nodes)]
+		tr.serve(&wire.Request{To: route.Entry{ID: dst.id, Addr: dst.addr}, Call: call,
+			RespType: wire.Type(respType), Msg: msg})
+	})
 }

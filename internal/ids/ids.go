@@ -42,6 +42,21 @@ func (s Spec) Validate() error {
 	return nil
 }
 
+// WellFormed reports whether id belongs to the spec's namespace: exactly
+// Digits digits, each below Base. Identifiers decoded from the network are
+// checked with it before they index a routing table.
+func (s Spec) WellFormed(id ID) bool {
+	if id.Len() != s.Digits {
+		return false
+	}
+	for i := 0; i < id.Len(); i++ {
+		if int(id.Digit(i)) >= s.Base {
+			return false
+		}
+	}
+	return true
+}
+
 // Namespace returns the number of distinct identifiers the spec admits,
 // saturating at the maximum uint64 on overflow.
 func (s Spec) Namespace() uint64 {

@@ -27,6 +27,33 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
+// TestWellFormed pins the namespace check applied to decoded identifiers:
+// exactly Digits digits, each below Base.
+func TestWellFormed(t *testing.T) {
+	s := Spec{Base: 4, Digits: 3}
+	for _, c := range []struct {
+		digits []Digit
+		ok     bool
+	}{
+		{[]Digit{0, 1, 3}, true},
+		{[]Digit{3, 3, 3}, true},
+		{[]Digit{0, 1}, false},
+		{[]Digit{0, 1, 2, 3}, false},
+		{[]Digit{0, 4, 1}, false},
+		{nil, false},
+	} {
+		if got := s.WellFormed(FromDigits(c.digits)); got != c.ok {
+			t.Errorf("WellFormed(%v) = %v, want %v", c.digits, got, c.ok)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 100; i++ {
+		if id := s.Random(rng); !s.WellFormed(id) {
+			t.Fatalf("Random produced %v, not well formed", id)
+		}
+	}
+}
+
 func TestNamespace(t *testing.T) {
 	if got := (Spec{Base: 2, Digits: 3}).Namespace(); got != 8 {
 		t.Errorf("2^3 namespace = %d, want 8", got)

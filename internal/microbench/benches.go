@@ -81,7 +81,7 @@ func setupOpLocate() func(b *testing.B) {
 // so almost every query succeeds on its first probe).
 func setupOpLocateMultiRoot() func(b *testing.B) {
 	cfg := tapestry.Defaults()
-	cfg.Roots = 4
+	cfg.RootSetSize = 4
 	cfg.Replicas = 3
 	return setupFacadeLocate(cfg)
 }

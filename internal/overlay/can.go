@@ -137,16 +137,3 @@ func (c *canProto) TableSize(h Handle) int {
 	}
 	return ch.n.NeighborCount()
 }
-
-func (c *canProto) Stats() Stats {
-	live := c.members.snapshot()
-	s := Stats{Nodes: len(live), TotalMessages: c.net.TotalMessages()}
-	entries := 0
-	for _, h := range live {
-		entries += h.(canHandle).n.NeighborCount()
-	}
-	if len(live) > 0 {
-		s.MeanTableEntries = float64(entries) / float64(len(live))
-	}
-	return s
-}

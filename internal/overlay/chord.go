@@ -152,16 +152,3 @@ func (c *chordProto) TableSize(h Handle) int {
 	}
 	return ch.n.FingerCount()
 }
-
-func (c *chordProto) Stats() Stats {
-	live := c.members.snapshot()
-	s := Stats{Nodes: len(live), TotalMessages: c.net.TotalMessages()}
-	entries := 0
-	for _, h := range live {
-		entries += h.(chordHandle).n.FingerCount()
-	}
-	if len(live) > 0 {
-		s.MeanTableEntries = float64(entries) / float64(len(live))
-	}
-	return s
-}

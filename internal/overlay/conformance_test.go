@@ -228,17 +228,12 @@ func runConformance(t *testing.T, b Builder, seed int64) *confTrace {
 		}
 	}
 
-	// TableSize and Stats must be sane.
+	// TableSize must be sane.
 	if b.Name != "directory" { // directory clients legitimately hold no state
 		if p.TableSize(p.Handles()[0]) <= 0 {
 			t.Errorf("%s: TableSize = %d", b.Name, p.TableSize(p.Handles()[0]))
 		}
 	}
-	st := p.Stats()
-	if st.Nodes != want || st.TotalMessages <= 0 {
-		t.Errorf("%s: stats %+v", b.Name, st)
-	}
-	tr.addf("stats nodes=%d", st.Nodes)
 	return tr
 }
 

@@ -141,7 +141,3 @@ func (p *dirProto) Maintain() (*netsim.Cost, error) {
 // TableSize is zero for clients: the directory concentrates all routing
 // state on the single server.
 func (p *dirProto) TableSize(h Handle) int { return 0 }
-
-func (p *dirProto) Stats() Stats {
-	return Stats{Nodes: p.members.count(), TotalMessages: p.net.TotalMessages()}
-}

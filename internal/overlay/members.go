@@ -9,8 +9,8 @@ import (
 
 // members is the shared live-member bookkeeping every adapter embeds: an
 // insertion-ordered list (so Handles() is deterministic for identically
-// seeded runs) plus an address index, both guarded by mu so Handles()/
-// Stats() readers are safe against concurrent membership churn. opMu is the
+// seeded runs) plus an address index, both guarded by mu so Handles()
+// readers are safe against concurrent membership churn. opMu is the
 // adapters' membership-operation lock: Join/Build consume the adapter's RNG
 // and must not interleave, matching the serialization the facade's old
 // AddNode lock provided. Adapters whose departures mutate shared protocol
@@ -73,13 +73,6 @@ func (m *members) labelAt(a netsim.Addr) string {
 		return h.Label()
 	}
 	return ""
-}
-
-// count returns the live-member count.
-func (m *members) count() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.list)
 }
 
 // snapshot returns a copy of the live members in insertion order.

@@ -124,26 +124,12 @@ type Result struct {
 	FromCache bool        // answered from a cached location mapping (CapCache)
 }
 
-// Stats is a protocol-wide snapshot. Fields a protocol has no notion of stay
-// zero.
-type Stats struct {
-	Nodes            int
-	TotalMessages    int64
-	MeanTableEntries float64 // routing entries per member
-	TotalPointers    int     // in-network object pointers (Tapestry)
-	CachedMappings   int     // serving-layer cache entries (CapCache)
-	CacheHits        int64
-	CacheMisses      int64
-	Roots            int // salted roots per object (CapReplication; 0 = no notion)
-	Replicas         int // replica servers per publish (CapReplication; 0 = no notion)
-}
-
 // Protocol is the unified overlay interface. Implementations are built
 // empty over a netsim.Network, populated once via Build, and then driven
 // through the uniform operation vocabulary. Adapters serialize membership
 // operations (Build/Join consume the adapter RNG under one lock) and guard
-// their member bookkeeping, so concurrent Handles/Stats/membership calls
-// are safe; whether object operations (Publish/Locate/...) may run
+// their member bookkeeping, so concurrent Handles/TableSize/membership
+// calls are safe; whether object operations (Publish/Locate/...) may run
 // concurrently is up to the underlying protocol (Tapestry's are
 // concurrency-safe, the serial baselines are driven serially by the
 // experiment harness).
@@ -193,8 +179,6 @@ type Protocol interface {
 	// TableSize reports h's routing-state size in entries (the Table 1
 	// space measurement).
 	TableSize(h Handle) int
-	// Stats returns a protocol-wide snapshot.
-	Stats() Stats
 }
 
 // Config parameterizes a Builder. Protocols ignore the knobs that do not

@@ -122,16 +122,3 @@ func (p *pastryProto) TableSize(h Handle) int {
 	}
 	return ph.n.TableSize()
 }
-
-func (p *pastryProto) Stats() Stats {
-	live := p.members.snapshot()
-	s := Stats{Nodes: len(live), TotalMessages: p.net.TotalMessages()}
-	entries := 0
-	for _, h := range live {
-		entries += h.(pastryHandle).n.TableSize()
-	}
-	if len(live) > 0 {
-		s.MeanTableEntries = float64(entries) / float64(len(live))
-	}
-	return s
-}

@@ -17,8 +17,7 @@ const tapestryCaps = CapJoin | CapLeave | CapFail | CapUnpublish |
 type tapestry struct {
 	members
 	net  *netsim.Network
-	cfg  core.Config
-	mesh *core.Mesh
+	mesh *core.Mesh // its Config() holds every knob in effect
 	rng  *rand.Rand // member IDs and gateway choice
 	stat bool       // Build uses the oracle static construction
 }
@@ -31,7 +30,8 @@ func (h tapHandle) Label() string     { return h.n.ID().String() }
 
 // CoreMesh exposes the Tapestry adapter's underlying mesh so the facade can
 // offer the Tapestry-only extended surface (multicast, locality queries,
-// consistency audits). It reports false for every other protocol.
+// consistency audits). It reports false for every other protocol. A static
+// Build replaces the mesh, so callers ask again rather than keep the result.
 func CoreMesh(p Protocol) (*core.Mesh, bool) {
 	t, ok := p.(*tapestry)
 	if !ok {
@@ -61,17 +61,8 @@ func newTapestry(net *netsim.Network, cfg Config) (Protocol, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Normalize the availability knobs the mesh defaulted internally, so
-	// Stats reports the effective values even for a zero-valued cfg.Core.
-	if cc.RootSetSize < 1 {
-		cc.RootSetSize = 1
-	}
-	if cc.Replicas < 1 {
-		cc.Replicas = 1
-	}
 	return &tapestry{
 		net:  net,
-		cfg:  cc,
 		mesh: mesh,
 		rng:  rand.New(rand.NewSource(cfg.Seed)),
 		stat: cfg.Static,
@@ -89,11 +80,15 @@ func (t *tapestry) Build(addrs []netsim.Addr) ([]Handle, []int, error) {
 		return nil, nil, err
 	}
 	if t.stat {
-		parts := core.StaticParticipants(t.cfg.Spec, addrs, t.rng)
-		m, err := core.BuildStaticWith(t.net, t.cfg, parts, t.cfg.BuildWorkers)
+		cfg := t.mesh.Config()
+		parts := core.StaticParticipants(cfg.Spec, addrs, t.rng)
+		m, err := core.BuildStaticWith(t.net, cfg, parts, cfg.BuildWorkers)
 		if err != nil {
 			return nil, nil, err
 		}
+		// The built mesh replaces the empty one, which served no traffic but
+		// holds its transport (a TCP listener) until closed.
+		_ = t.mesh.Close()
 		t.mesh = m
 		handles := make([]Handle, len(addrs))
 		for i, a := range addrs {
@@ -175,7 +170,7 @@ func (t *tapestry) Publish(h Handle, key string) (*netsim.Cost, error) {
 	if !ok {
 		return cost, errors.New("overlay: foreign handle")
 	}
-	if t.cfg.Replicas > 1 {
+	if t.mesh.Config().Replicas > 1 {
 		_, err := n.PublishReplicated(t.guid(key), cost)
 		return cost, err
 	}
@@ -224,21 +219,4 @@ func (t *tapestry) TableSize(h Handle) int {
 		return 0
 	}
 	return n.NeighborCount()
-}
-
-func (t *tapestry) Stats() Stats {
-	nodes := t.mesh.Nodes()
-	s := Stats{Nodes: len(nodes), TotalMessages: t.net.TotalMessages()}
-	links := 0
-	for _, n := range nodes {
-		links += n.NeighborCount()
-		s.TotalPointers += n.PointerCount()
-		s.CachedMappings += n.CacheSize()
-	}
-	if len(nodes) > 0 {
-		s.MeanTableEntries = float64(links) / float64(len(nodes))
-	}
-	s.CacheHits, s.CacheMisses = t.mesh.LocateCacheStats()
-	s.Roots, s.Replicas = t.cfg.RootSetSize, t.cfg.Replicas
-	return s
 }

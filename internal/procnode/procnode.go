@@ -128,11 +128,11 @@ const maxR = 64
 // levels inside the spec naming well-formed IDs.
 func validInstall(m *wire.ClusterInstall) bool {
 	spec := ids.Spec{Base: m.Base, Digits: m.Digits}
-	if spec.Validate() != nil || m.R < 1 || m.R > maxR || !wellFormed(spec, m.Self.ID) {
+	if spec.Validate() != nil || m.R < 1 || m.R > maxR || !spec.WellFormed(m.Self.ID) {
 		return false
 	}
 	for _, r := range m.Rows {
-		if r.Level < 0 || r.Level >= spec.Digits || !wellFormed(spec, r.E.ID) {
+		if r.Level < 0 || r.Level >= spec.Digits || !spec.WellFormed(r.E.ID) {
 			return false
 		}
 	}
@@ -148,21 +148,7 @@ func (n *Node) validWalkLocked(guid, key ids.ID, level int) bool {
 		return false
 	}
 	spec := ids.Spec{Base: n.table.Base(), Digits: n.table.Levels()}
-	return wellFormed(spec, guid) && wellFormed(spec, key) && level >= 0 && level <= spec.Digits
-}
-
-// wellFormed reports whether id has exactly spec.Digits digits, each below
-// spec.Base.
-func wellFormed(spec ids.Spec, id ids.ID) bool {
-	if id.Len() != spec.Digits {
-		return false
-	}
-	for i := 0; i < id.Len(); i++ {
-		if int(id.Digit(i)) >= spec.Base {
-			return false
-		}
-	}
-	return true
+	return spec.WellFormed(guid) && spec.WellFormed(key) && level >= 0 && level <= spec.Digits
 }
 
 // install provisions identity, routing table and the cluster address book,

@@ -63,14 +63,37 @@ type Request struct {
 type Handler func(r *Request) (resp Msg, gone, drop bool)
 
 // Serve accepts connections on ln until it closes, serving each on its own
-// goroutine, and returns the Accept error.
+// goroutine. Once Accept fails it closes the connections still open, waits
+// for their goroutines to exit, and returns the Accept error — so a caller
+// that closes ln and waits for Serve knows the server is gone.
 func Serve(ln net.Listener, h Handler) error {
+	var (
+		mu    sync.Mutex
+		conns = make(map[net.Conn]struct{})
+		wg    sync.WaitGroup
+	)
 	for {
 		c, err := ln.Accept()
 		if err != nil {
+			mu.Lock()
+			for c := range conns {
+				c.Close()
+			}
+			mu.Unlock()
+			wg.Wait()
 			return err
 		}
-		go serveConn(c, h)
+		mu.Lock()
+		conns[c] = struct{}{}
+		mu.Unlock()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			serveConn(c, h)
+			mu.Lock()
+			delete(conns, c)
+			mu.Unlock()
+		}()
 	}
 }
 

@@ -210,6 +210,54 @@ func TestClientCloseIdempotent(t *testing.T) {
 	}
 }
 
+// TestServeShutdownClosesConnections pins Serve's shutdown: once its
+// listener closes, it closes the connections still open — here an idle
+// pooled one and a raw one that never sent a byte — and returns only after
+// their goroutines exit.
+func TestServeShutdownClosesConnections(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := &countingListener{Listener: ln, closed: make(chan struct{}, 4)}
+	done := make(chan struct{})
+	go func() {
+		Serve(cl, testHandler(new(atomic.Int32)))
+		close(done)
+	}()
+	c := NewClient(ln.Addr().String())
+	defer c.Close()
+	if err := c.Call(here, &Ping{}, &Ack{}); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	for cl.accepts.Load() < 2 {
+		time.Sleep(time.Millisecond)
+	}
+
+	ln.Close()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Serve did not return after its listener closed")
+	}
+	for i := 0; i < 2; i++ {
+		select {
+		case <-cl.closed:
+		default:
+			t.Fatalf("Serve returned with %d of 2 connections still open", 2-i)
+		}
+	}
+	_ = raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := raw.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+		t.Errorf("raw connection read %v after shutdown, want EOF", err)
+	}
+}
+
 // appendEnvelope frames req in the request envelope by hand, as a peer
 // other than Client would.
 func appendEnvelope(dst []byte, kind byte, to route.Entry, respType Type, req Msg) []byte {

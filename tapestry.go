@@ -175,10 +175,6 @@ type Config struct {
 	K int
 	// RootSetSize is the number of salted roots per object (fault tolerance).
 	RootSetSize int
-	// Roots is the availability-tier spelling of RootSetSize: when > 0 it
-	// overrides RootSetSize as the per-object salted root count r. The two
-	// names coexist so existing configurations keep working.
-	Roots int
 	// Replicas is the object replication factor k: each Publish places the
 	// object on the publishing node plus the k-1 closest live peers, selected
 	// by the nearest-neighbor engine with locality-aware region spread.
@@ -243,9 +239,6 @@ func (c Config) toCore() core.Config {
 	cc.R = c.R
 	cc.K = c.K
 	cc.RootSetSize = c.RootSetSize
-	if c.Roots > 0 {
-		cc.RootSetSize = c.Roots
-	}
 	cc.Replicas = c.Replicas
 	if c.PRRRouting {
 		cc.Surrogate = core.SchemePRRLike
@@ -278,7 +271,6 @@ func (c Config) toOverlay(p Protocol) overlay.Config {
 type Network struct {
 	kind  Protocol
 	proto overlay.Protocol
-	mesh  *core.Mesh // non-nil only for Tapestry (extended surface)
 	sim   *netsim.Network
 	seed  int64 // fault-injection draw stream (see SetLinkFaults)
 
@@ -316,15 +308,21 @@ func NewProtocol(space Space, p Protocol, cfg Config) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	nw := &Network{
+	return &Network{
 		kind:  p,
 		proto: proto,
 		sim:   sim,
 		seed:  cfg.Seed,
 		rng:   rand.New(rand.NewSource(cfg.Seed ^ 0x5eed)),
-	}
-	nw.mesh, _ = overlay.CoreMesh(proto)
-	return nw, nil
+	}, nil
+}
+
+// mesh returns the Tapestry mesh behind the network, or nil on every other
+// protocol. It is asked at each call: a static bulk Grow replaces the
+// adapter's mesh.
+func (nw *Network) mesh() *core.Mesh {
+	m, _ := overlay.CoreMesh(nw.proto)
+	return m
 }
 
 // Protocol reports which overlay system backs this network.
@@ -334,8 +332,8 @@ func (nw *Network) Protocol() Protocol { return nw.kind }
 // listener and connection pool; the in-process backends hold none, so Close
 // is then a cheap no-op. The Network must not be used afterwards.
 func (nw *Network) Close() error {
-	if nw.mesh != nil {
-		return nw.mesh.Close()
+	if m := nw.mesh(); m != nil {
+		return m.Close()
 	}
 	return nil
 }
@@ -723,31 +721,29 @@ func (nw *Network) RunMaintenance() Cost {
 // among its holders. Returns the number of links removed; zero on protocols
 // without link repair.
 func (nw *Network) SweepFailures() int {
-	if nw.mesh == nil {
-		return 0
+	if m := nw.mesh(); m != nil {
+		return m.SweepDeadAll(nil)
 	}
-	return nw.mesh.SweepDeadAll(nil)
+	return 0
 }
 
 // guid hashes an object name into the identifier namespace (Tapestry only).
-func (nw *Network) guid(name string) ids.ID { return nw.mesh.Spec().Hash(name) }
+func (nw *Network) guid(name string) ids.ID { return nw.mesh().Spec().Hash(name) }
 
 // CheckConsistency audits Property 1 (no false holes) and root uniqueness
 // over sample keys, returning human-readable violations (empty = healthy).
 // Only Tapestry defines these invariants; other protocols report nothing.
 func (nw *Network) CheckConsistency() []string {
-	if nw.mesh == nil {
+	m := nw.mesh()
+	if m == nil {
 		return nil
 	}
-	out := nw.mesh.AuditProperty1()
+	out := m.AuditProperty1()
+	spec := m.Spec()
 	nw.mu.Lock()
-	keys := []ids.ID{
-		nw.mesh.Spec().Random(nw.rng),
-		nw.mesh.Spec().Random(nw.rng),
-		nw.mesh.Spec().Random(nw.rng),
-	}
+	keys := []ids.ID{spec.Random(nw.rng), spec.Random(nw.rng), spec.Random(nw.rng)}
 	nw.mu.Unlock()
-	return append(out, nw.mesh.AuditUniqueRoots(keys)...)
+	return append(out, m.AuditUniqueRoots(keys)...)
 }
 
 // Stats summarises the overlay.
@@ -774,24 +770,35 @@ type Stats struct {
 	LinkBlocked    int64 // messages refused by a partition mask
 }
 
-// Stats returns a snapshot of overlay-wide statistics.
+// Stats returns a snapshot of overlay-wide statistics: membership and table
+// sizes from the backing protocol, message and fault tallies from the
+// network simulator, and the Tapestry-only fields from its mesh.
 func (nw *Network) Stats() Stats {
-	os := nw.proto.Stats()
 	ns := nw.sim.Stats()
-	return Stats{
-		Nodes:           os.Nodes,
-		TotalMessages:   os.TotalMessages,
-		MeanTableLinks:  os.MeanTableEntries,
-		TotalPointers:   os.TotalPointers,
-		CachedMappings:  os.CachedMappings,
-		LocateCacheHits: os.CacheHits,
-		LocateCacheMiss: os.CacheMisses,
-		Roots:           os.Roots,
-		Replicas:        os.Replicas,
-		LinkLost:        ns.Lost,
-		LinkDuplicated:  ns.Duplicated,
-		LinkBlocked:     ns.Blocked,
+	s := Stats{
+		TotalMessages:  ns.TotalMessages,
+		LinkLost:       ns.Lost,
+		LinkDuplicated: ns.Duplicated,
+		LinkBlocked:    ns.Blocked,
 	}
+	hs := nw.proto.Handles()
+	if s.Nodes = len(hs); s.Nodes > 0 {
+		links := 0
+		for _, h := range hs {
+			links += nw.proto.TableSize(h)
+		}
+		s.MeanTableLinks = float64(links) / float64(s.Nodes)
+	}
+	if m := nw.mesh(); m != nil {
+		for _, n := range m.Nodes() {
+			s.TotalPointers += n.PointerCount()
+		}
+		s.CachedMappings = m.CachedMappings()
+		s.LocateCacheHits, s.LocateCacheMiss = m.LocateCacheStats()
+		cfg := m.Config()
+		s.Roots, s.Replicas = cfg.RootSetSize, cfg.Replicas
+	}
+	return s
 }
 
 // String renders the stats compactly; serving-layer counters appear only

@@ -242,3 +242,51 @@ func TestLocateLocalFromCache(t *testing.T) {
 		t.Fatal("LocateLocal never reported FromCache — the field is being dropped")
 	}
 }
+
+// TestProtocolStatsReadProtocol pins where Stats reads its numbers for every
+// backing protocol: Nodes is the protocol's live membership, MeanTableLinks
+// the mean of its per-member TableSize, TotalMessages the simulator's count;
+// on Tapestry the availability knobs are the mesh's effective (defaulted)
+// values.
+func TestProtocolStatsReadProtocol(t *testing.T) {
+	for _, p := range []Protocol{Tapestry, Chord, Pastry, CAN, Directory} {
+		p := p
+		t.Run(p.String(), func(t *testing.T) {
+			cfg := Defaults()
+			cfg.RootSetSize, cfg.Replicas = 0, 0 // the mesh defaults both to 1
+			nw, err := NewProtocol(RingSpace(96), p, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nodes, err := nw.Grow(20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nodes[0].Publish("stats")
+			nw.Fail(nodes[1]) // a no-op where the protocol declines failure
+
+			s := nw.Stats()
+			hs := nw.proto.Handles()
+			links := 0
+			for _, h := range hs {
+				links += nw.proto.TableSize(h)
+			}
+			if s.Nodes != len(hs) {
+				t.Errorf("Nodes = %d, protocol has %d members", s.Nodes, len(hs))
+			}
+			if want := float64(links) / float64(len(hs)); s.MeanTableLinks != want {
+				t.Errorf("MeanTableLinks = %v, mean TableSize is %v", s.MeanTableLinks, want)
+			}
+			if s.TotalMessages != nw.TotalMessages() || s.TotalMessages == 0 {
+				t.Errorf("TotalMessages = %d, network counted %d", s.TotalMessages, nw.TotalMessages())
+			}
+			if p == Tapestry {
+				if s.TotalPointers == 0 || s.Roots != 1 || s.Replicas != 1 {
+					t.Errorf("tapestry-only fields: %+v", s)
+				}
+			} else if s.TotalPointers != 0 || s.Roots != 0 || s.Replicas != 0 {
+				t.Errorf("%v reports tapestry-only fields: %+v", p, s)
+			}
+		})
+	}
+}

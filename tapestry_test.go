@@ -209,3 +209,39 @@ func TestFacadeLinkFaults(t *testing.T) {
 		t.Error("invalid Config.LinkLossRate accepted")
 	}
 }
+
+// TestFacadeStaticBuildServesLiveMesh pins that the Tapestry-only surface
+// acts on the mesh a static bulk Grow built, not on the empty one it
+// replaced: after 8 of 32 nodes crash, the consistency audit sees their
+// stale links, the sweep removes them, and the audit is then clean.
+func TestFacadeStaticBuildServesLiveMesh(t *testing.T) {
+	cfg := Defaults()
+	cfg.StaticBuild = true
+	nw, err := New(RingSpace(128), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Close()
+	nodes, err := nw.Grow(32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := nw.CheckConsistency(); len(v) != 0 {
+		t.Fatalf("fresh static mesh: %d violations (first: %s)", len(v), v[0])
+	}
+	for _, n := range nodes[:8] {
+		nw.Fail(n)
+	}
+	if v := nw.CheckConsistency(); len(v) == 0 {
+		t.Fatal("audit reports no stale links after 8 crashes: it is not auditing the built mesh")
+	}
+	if removed := nw.SweepFailures(); removed <= 0 {
+		t.Fatalf("SweepFailures removed %d links after 8 crashes", removed)
+	}
+	if v := nw.CheckConsistency(); len(v) != 0 {
+		t.Fatalf("after the sweep: %d violations (first: %s)", len(v), v[0])
+	}
+	if s := nw.Stats(); s.Nodes != 24 {
+		t.Errorf("Stats().Nodes = %d after 8 of 32 crashed", s.Nodes)
+	}
+}
